@@ -1,6 +1,6 @@
 //! `bench_trajectory` — the PR's machine-readable perf trajectory.
 //!
-//! Times the workloads recent PRs optimized and emits `BENCH_pr10.json`
+//! Times the workloads recent PRs optimized and emits `BENCH_pr12.json`
 //! at the repository root (override with `--out PATH`):
 //!
 //! * the candidate variance scan, pointer-chasing vs flat SoA engine,
@@ -14,6 +14,13 @@
 //! * one warm rule query through the `acclaim-serve` service (cache
 //!   hit against a pre-warmed serving model — the daemon's steady-state
 //!   lookup path, expected well under a millisecond);
+//! * the same query as the daemon serves it off the wire: one
+//!   `loadgen::request_pool` `Query` line through `decode_request →
+//!   handle_request → encode_response` — the codec is most of a served
+//!   query, so this is the number that moves with the JSON scanner;
+//! * one tiny tuned binary store entry read back through
+//!   `TuningStore::get` — its JSON header parse is what the daemon pays
+//!   per entry at open and prewarm;
 //! * the analytic-priors cold-start comparison (`acclaim-analytic`):
 //!   iterations-to-convergence and simulated benchmark cost of a cold
 //!   tune with and without Hockney/LogGP priors, medians over seeds
@@ -45,8 +52,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Schema version of the emitted file; bump on layout changes.
-/// v2 added the `analytic` block (PR 10).
-const BENCH_SCHEMA_VERSION: u32 = 2;
+/// v2 added the `analytic` block; v3 added the `serve_wire_query`
+/// and `store_entry_parse` medians.
+const BENCH_SCHEMA_VERSION: u32 = 3;
 
 #[derive(Serialize)]
 struct Shape {
@@ -64,6 +72,8 @@ struct MediansUs {
     tune_e2e: f64,
     tune_e2e_obs: f64,
     serve_query_warm: f64,
+    serve_wire_query: f64,
+    store_entry_parse: f64,
 }
 
 #[derive(Serialize)]
@@ -182,7 +192,7 @@ fn main() {
         }
     }
     let out = out.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json")
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr12.json")
     });
 
     // -- Variance scan, pointer vs flat, at the ablation shape. --------
@@ -262,8 +272,12 @@ fn main() {
     eprintln!("tune_e2e:     {tune:.1} µs");
     eprintln!("tune_e2e_obs: {tune_obs:.1} µs");
 
-    // -- Warm rule query through the serving layer. --------------------
-    let serve_query = {
+    // -- Warm rule query through the serving layer: in-process, off the
+    // wire, and the binary store entry behind it. -----------------------
+    let (serve_query, serve_wire, entry_parse) = {
+        use acclaim_serve::protocol::{
+            decode_request, encode_request, encode_response, handle_request, WireRequest,
+        };
         use acclaim_serve::{JobStatus, QueryRequest, ServeConfig, TuneService};
         let dir = std::env::temp_dir().join("acclaim-bench-serve-latency");
         std::fs::remove_dir_all(&dir).ok();
@@ -274,7 +288,7 @@ fn main() {
         )
         .expect("open serve store");
         let request = acclaim_serve::loadgen::request_pool(1, 7)[0].clone();
-        let JobStatus::Done(_) = service.submit(request.clone()).wait() else {
+        let JobStatus::Done(tuned) = service.submit(request.clone()).wait() else {
             panic!("serve warmup tune failed");
         };
         let query = QueryRequest {
@@ -286,11 +300,24 @@ fn main() {
         let median = median_us(200, 1001, || {
             black_box(service.query(&query));
         });
+        let line = encode_request(&WireRequest::Query { request: query });
+        let wire = median_us(50, 501, || {
+            let request = decode_request(black_box(&line)).expect("query line decodes");
+            black_box(encode_response(&handle_request(&service, request).0));
+        });
+        let store = service.shared().store();
+        let key = &tuned.keys[0];
+        let parse = median_us(5, 51, || {
+            let entry = store.get(key).expect("entry readable");
+            black_box(entry.expect("entry present"));
+        });
         drop(service);
         std::fs::remove_dir_all(&dir).ok();
-        median
+        (median, wire, parse)
     };
     eprintln!("serve_query_warm: {serve_query:.1} µs");
+    eprintln!("serve_wire_query: {serve_wire:.1} µs");
+    eprintln!("store_entry_parse: {entry_parse:.1} µs");
 
     // -- Analytic-priors cold-start comparison (deterministic). --------
     let median_f64 = |mut v: Vec<f64>| -> f64 {
@@ -338,7 +365,7 @@ fn main() {
     );
 
     let trajectory = Trajectory {
-        pr: 10,
+        pr: 12,
         schema_version: BENCH_SCHEMA_VERSION,
         shape: Shape {
             n_samples: N_SAMPLES,
@@ -353,6 +380,8 @@ fn main() {
             tune_e2e: tune,
             tune_e2e_obs: tune_obs,
             serve_query_warm: serve_query,
+            serve_wire_query: serve_wire,
+            store_entry_parse: entry_parse,
         },
         speedups: Speedups {
             variance_scan: pointer / flat,
@@ -399,6 +428,8 @@ fn compare_against(baseline: &PathBuf, current: &Trajectory) {
         ("tune_e2e", current.medians_us.tune_e2e),
         ("tune_e2e_obs", current.medians_us.tune_e2e_obs),
         ("serve_query_warm", current.medians_us.serve_query_warm),
+        ("serve_wire_query", current.medians_us.serve_wire_query),
+        ("store_entry_parse", current.medians_us.store_entry_parse),
     ];
     let mut regressed = 0;
     for (name, now) in pairs {

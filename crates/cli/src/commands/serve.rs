@@ -95,10 +95,12 @@ mod unix {
         let socket = socket_path(args);
         let (obs, outputs) = TraceOutputs::from_args(args)?;
         // The service's counters are the daemon's exit report either way.
+        // Spans are kept only for `--trace-out`: a metrics-only recorder
+        // stays bounded however many requests the daemon serves.
         let obs = if obs.is_enabled() {
             obs
         } else {
-            acclaim_obs::Obs::enabled()
+            Obs::metrics_only()
         };
         let config = ServeConfig {
             workers: args.num_or("workers", 2usize)?,
@@ -167,10 +169,9 @@ mod unix {
         service.shutdown();
         std::fs::remove_file(&socket).ok();
 
-        let snap = obs.snapshot();
+        let metrics = obs.metrics_snapshot();
         let telemetry = |name: &str| name.starts_with("serve.") || name.starts_with("drift.");
-        let counters: Vec<String> = snap
-            .metrics
+        let counters: Vec<String> = metrics
             .counters
             .iter()
             .filter(|(name, _)| telemetry(name))
@@ -184,8 +185,7 @@ mod unix {
                 counters.join(" ")
             }
         );
-        let gauges: Vec<String> = snap
-            .metrics
+        let gauges: Vec<String> = metrics
             .gauges
             .iter()
             .filter(|(name, _)| telemetry(name))
@@ -194,8 +194,7 @@ mod unix {
         if !gauges.is_empty() {
             report.push_str(&format!("serve gauges (obs): {}\n", gauges.join(" ")));
         }
-        for (name, hist) in snap
-            .metrics
+        for (name, hist) in metrics
             .histograms
             .iter()
             .filter(|(name, hist)| telemetry(name) && hist.count > 0)
@@ -665,7 +664,7 @@ mod unix {
         ));
         // Client-observed latency aggregates live in a recorder local
         // to this run; the daemon's own metrics are scraped separately.
-        let recorder = Obs::enabled();
+        let recorder = Obs::metrics_only();
         let tune_latency = recorder.histogram("load.tune_latency_us");
         let query_latency = recorder.histogram("load.query_latency_us");
 
@@ -966,9 +965,12 @@ mod unix {
             let out = client(&args(&shutdown), &diag).unwrap();
             assert!(out.contains("shutting down"), "{out}");
 
+            // The daemon ran without --trace-out (the production
+            // default, a metrics-only recorder): the exit report still
+            // carries every counter, gauge and phase histogram.
             let report = server.join().unwrap().unwrap();
-            assert!(report.contains("serve counters"), "{report}");
-            assert!(report.contains("tune_requests"), "{report}");
+            assert!(report.contains("serve counters (obs): "), "{report}");
+            assert!(report.contains(" tune_requests="), "{report}");
             assert!(report.contains("serve gauges (obs):"), "{report}");
             assert!(report.contains("serve.cache_size="), "{report}");
             assert!(
@@ -976,6 +978,7 @@ mod unix {
                 "{report}"
             );
             assert!(report.contains("p99="), "{report}");
+            assert!(!report.contains("written to"), "{report}");
             std::fs::remove_dir_all(&store).ok();
             std::fs::remove_file(&socket).ok();
         }

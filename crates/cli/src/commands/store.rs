@@ -61,7 +61,7 @@ fn gc(store: &TuningStore, args: &Args, diag: &Diag) -> Result<String, String> {
     // Failed reclaims must be visible to monitoring even when the
     // operator isn't reading exit codes.
     let obs = if !obs.is_enabled() {
-        acclaim_obs::Obs::enabled()
+        acclaim_obs::Obs::metrics_only()
     } else {
         obs
     };

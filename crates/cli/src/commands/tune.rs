@@ -99,10 +99,10 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         .map(str::to_string);
 
     // Fault handling and store traffic are counted through acclaim-obs,
-    // so both force the recorder on even without a trace output — the
-    // report's counter lines are sourced from the metrics snapshot.
+    // so both force a metrics-only recorder on even without a trace
+    // output — the report's counter lines are sourced from its metrics.
     let obs = if (policy.is_enabled() || store_dir.is_some() || analytic) && !obs.is_enabled() {
-        Obs::enabled()
+        Obs::metrics_only()
     } else {
         obs
     };
@@ -140,9 +140,8 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         if flat { "flat (SoA)" } else { "pointer" }
     ));
     if store_dir.is_some() {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
+        let counters: Vec<String> = obs
+            .metrics_snapshot()
             .counters
             .iter()
             .filter(|(name, _)| name.starts_with("store."))
@@ -158,9 +157,8 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         ));
     }
     if analytic {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
+        let counters: Vec<String> = obs
+            .metrics_snapshot()
             .counters
             .iter()
             .filter(|(name, _)| name.starts_with("analytic."))
@@ -176,9 +174,8 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         ));
     }
     if policy.is_enabled() {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
+        let counters: Vec<String> = obs
+            .metrics_snapshot()
             .counters
             .iter()
             .filter(|(name, _)| name.starts_with("collect."))

@@ -1,9 +1,10 @@
 //! Observability wiring shared by the subcommands: `--trace-out PATH`,
 //! `--metrics-out PATH`, and `--trace-format jsonl|chrome`.
 //!
-//! Recording is opt-in: the recorder is enabled (wall clock) only when
-//! at least one output path was requested, so untraced runs keep the
-//! disabled-handle fast path everywhere.
+//! Recording is opt-in: spans are kept (wall clock) only when
+//! `--trace-out` is given; `--metrics-out` alone gets a metrics-only
+//! recorder whose span calls are no-ops; with neither, untraced runs
+//! keep the disabled-handle fast path everywhere.
 
 use crate::args::Args;
 use acclaim_obs::{export, Obs, TraceSnapshot};
@@ -18,7 +19,8 @@ pub struct TraceOutputs {
 
 impl TraceOutputs {
     /// Parse the shared tracing options and build the recorder for the
-    /// command: enabled iff any output was requested.
+    /// command: span-recording iff `--trace-out` was given, metrics-only
+    /// for `--metrics-out` alone, disabled otherwise.
     pub fn from_args(args: &Args) -> Result<(Obs, TraceOutputs), String> {
         let trace_out = args.get("trace-out").map(str::to_string);
         let metrics_out = args.get("metrics-out").map(str::to_string);
@@ -31,8 +33,10 @@ impl TraceOutputs {
                 ))
             }
         };
-        let obs = if trace_out.is_some() || metrics_out.is_some() {
+        let obs = if trace_out.is_some() {
             Obs::enabled()
+        } else if metrics_out.is_some() {
+            Obs::metrics_only()
         } else {
             Obs::disabled()
         };
@@ -99,7 +103,7 @@ mod tests {
         let path = std::env::temp_dir().join("acclaim-cli-trace-test.jsonl");
         let a = args(&["tune", "--trace-out", path.to_str().unwrap()]);
         let (obs, outs) = TraceOutputs::from_args(&a).unwrap();
-        assert!(obs.is_enabled());
+        assert!(obs.records_spans());
         {
             let _span = obs.span("cli", "test");
         }
@@ -122,6 +126,7 @@ mod tests {
         let path = std::env::temp_dir().join("acclaim-cli-metrics-test.jsonl");
         let a = args(&["tune", "--metrics-out", path.to_str().unwrap()]);
         let (obs, outs) = TraceOutputs::from_args(&a).unwrap();
+        assert!(obs.is_enabled() && !obs.records_spans());
         obs.incr_counter("cli.test", 3);
         {
             let _span = obs.span("cli", "not-in-metrics");

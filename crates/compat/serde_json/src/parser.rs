@@ -147,12 +147,24 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Append the whole run up to the next delimiter in
+                    // one go. Both delimiters are ASCII, so the run ends
+                    // on a char boundary and validating just the run
+                    // keeps the scan linear in the input length.
+                    let bytes = self.bytes;
+                    let start = self.pos;
+                    let end = bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(bytes.len(), |n| start + n);
+                    match std::str::from_utf8(&bytes[start..end]) {
+                        Ok(run) => out.push_str(run),
+                        Err(e) => {
+                            self.pos = start + e.valid_up_to();
+                            return Err(self.err("invalid utf-8"));
+                        }
+                    }
+                    self.pos = end;
                 }
             }
         }
@@ -228,5 +240,142 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(|f| Value::Number(Number::from_f64(f)))
             .map_err(|_| self.err("invalid number"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{from_str, to_string, Value};
+
+    fn parse_str(json: &str) -> String {
+        from_str::<String>(json).unwrap_or_else(|e| panic!("{json:?}: {e}"))
+    }
+
+    fn error(json: &str) -> String {
+        from_str::<Value>(json).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn multibyte_runs_around_every_escape() {
+        let escapes = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\u00e9", "\u{e9}"),
+            ("\\u20AC", "\u{20ac}"),
+            ("\\ud83d\\ude00", "\u{1f600}"),
+        ];
+        // Two-, three- and four-byte scalars on both sides of the escape,
+        // and escapes back to back with no run between them.
+        for (esc, decoded) in escapes {
+            let json = format!("\"é€😀{esc}ü中🎉\"");
+            assert_eq!(parse_str(&json), format!("é€😀{decoded}ü中🎉"), "{json}");
+            let json = format!("\"{esc}{esc}ß\"");
+            assert_eq!(parse_str(&json), format!("{decoded}{decoded}ß"), "{json}");
+            let json = format!("[\"ж{esc}\", \"{esc}ж\"]");
+            let v: Vec<String> = from_str(&json).unwrap();
+            assert_eq!(v, [format!("ж{decoded}"), format!("{decoded}ж")], "{json}");
+        }
+        // Object keys go through the same scanner.
+        let v: Value = from_str("{\"ключ\\n€\": \"значение\"}").unwrap();
+        assert_eq!(v.get("ключ\n€").and_then(Value::as_str), Some("значение"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        assert_eq!(parse_str(r#""\uD83D\uDE00""#), "\u{1f600}");
+        assert_eq!(parse_str(r#""\ud834\udd1e""#), "\u{1d11e}");
+        assert_eq!(parse_str(r#""\uDBFF\uDFFF""#), "\u{10ffff}");
+        assert_eq!(
+            parse_str(r#""a\uD83D\uDE00\uD83D\uDE01é""#),
+            "a\u{1f600}\u{1f601}é"
+        );
+        // Raw four-byte scalars need no escaping and survive unchanged.
+        let s = "😀𝄞\u{10ffff}";
+        assert_eq!(parse_str(&to_string(s).unwrap()), s);
+    }
+
+    #[test]
+    fn unterminated_string_after_a_long_run_reports_the_end() {
+        let body = "é".repeat(10_000);
+        let json = format!("\"{body}");
+        assert_eq!(
+            error(&json),
+            format!("unterminated string at byte {}", json.len())
+        );
+        let json = format!("[\"{body}\\");
+        assert_eq!(
+            error(&json),
+            format!("unterminated escape at byte {}", json.len())
+        );
+    }
+
+    #[test]
+    fn malformed_input_errors_keep_their_text_and_offsets() {
+        let cases = [
+            ("{", "expected `\"` at byte 1"),
+            ("[1,]", "expected a JSON value at byte 3"),
+            ("12 34", "trailing characters after JSON value at byte 3"),
+            ("\"unterminated", "unterminated string at byte 13"),
+            ("", "expected a JSON value at byte 0"),
+            ("   ", "expected a JSON value at byte 3"),
+            ("[", "expected a JSON value at byte 1"),
+            ("{\"a\" 1}", "expected `:` at byte 5"),
+            ("{\"a\":1,}", "expected `\"` at byte 7"),
+            ("{1:2}", "expected `\"` at byte 1"),
+            ("[1 2]", "expected `,` or `]` in array at byte 3"),
+            ("\"ab\\", "unterminated escape at byte 4"),
+            ("\"\\x\"", "invalid escape at byte 3"),
+            ("\"\\u12\"", "truncated \\u escape at byte 3"),
+            ("\"\\u12", "truncated \\u escape at byte 3"),
+            ("\"\\uzzzz\"", "invalid \\u escape at byte 3"),
+            ("\"\\uD800\"", "unpaired surrogate at byte 7"),
+            ("\"\\uD800\\u0041\"", "invalid low surrogate at byte 13"),
+            ("\"\\uDC00\"", "unpaired low surrogate at byte 7"),
+            ("tru", "expected a JSON value at byte 0"),
+            ("nul", "expected a JSON value at byte 0"),
+            ("-", "invalid number at byte 1"),
+            ("-x", "invalid number at byte 1"),
+            ("1.2.3", "invalid number at byte 5"),
+            ("1e", "invalid number at byte 2"),
+            ("\"é😀", "unterminated string at byte 7"),
+            ("\"é\\q\"", "invalid escape at byte 5"),
+            ("[\"ok\", \"é😀x", "unterminated string at byte 15"),
+            (
+                "{\"ké\":\"v\" \"x\"}",
+                "expected `,` or `}` in object at byte 11",
+            ),
+            (
+                "\"\\uD83D\\uDE00\" x",
+                "trailing characters after JSON value at byte 15",
+            ),
+            ("truex", "trailing characters after JSON value at byte 4"),
+            ("[1,2]]", "trailing characters after JSON value at byte 5"),
+        ];
+        for (json, want) in cases {
+            assert_eq!(error(json), want, "{json:?}");
+        }
+    }
+
+    #[test]
+    fn one_mebibyte_string_value_parses() {
+        // ~10^12 byte validations under a scanner that re-checks the
+        // rest of the input per character; linear here.
+        let unit = "abcdefgh-é€😀\\n";
+        let decoded_unit = "abcdefgh-é€😀\n";
+        let reps = (1 << 20) / unit.len() + 1;
+        let json = format!("{{\"blob\": \"{}\", \"tail\": 1}}", unit.repeat(reps));
+        assert!(json.len() > 1 << 20);
+        let v: Value = from_str(&json).unwrap();
+        let blob = v.get("blob").and_then(Value::as_str).unwrap();
+        assert_eq!(blob.len(), decoded_unit.len() * reps);
+        assert!(blob.starts_with(decoded_unit) && blob.ends_with(decoded_unit));
+        assert_eq!(v.get("tail").and_then(Value::as_u64), Some(1));
+        assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v);
     }
 }

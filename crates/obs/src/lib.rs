@@ -9,7 +9,8 @@
 //! * [`recorder::Obs`] — a cheap-to-clone recorder handle. Disabled
 //!   handles (the default) reduce every operation to a branch on
 //!   `None`, so instrumented code paths cost nothing measurable when
-//!   tracing is off.
+//!   tracing is off. Metrics-only handles (`Obs::metrics_only()`) keep
+//!   metrics live and drop spans — the long-running daemon's default.
 //! * **Spans** ([`span`]) — hierarchical, thread-aware intervals with
 //!   attributes. Two timelines coexist: `host` spans are stamped by the
 //!   recorder's injectable [`clock::Clock`] (real wall time by default,

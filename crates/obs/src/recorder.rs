@@ -6,7 +6,10 @@
 //! every operation short-circuits on the `None` and the instrumented
 //! code never branches on enablement itself. An enabled handle collects
 //! spans and metrics into shared state that [`Obs::snapshot`] freezes
-//! for export.
+//! for export. A metrics-only handle ([`Obs::metrics_only`]) keeps the
+//! counters, gauges and histograms live but makes every span call a
+//! no-op, so a long-running process can keep its metrics without a
+//! span log that grows with every request.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +23,9 @@ use crate::span::{AttrValue, OpenSpan, SpanGuard, SpanRecord, Timeline};
 #[derive(Debug)]
 struct Inner {
     clock: Box<dyn Clock>,
-    spans: Mutex<Vec<SpanRecord>>,
+    /// The span log; `None` on a metrics-only recorder, where span
+    /// calls are no-ops.
+    spans: Option<Mutex<Vec<SpanRecord>>>,
     metrics: Registry,
     next_id: AtomicU64,
     /// Innermost open guarded span per thread (the parent for the next
@@ -48,10 +53,22 @@ impl Obs {
     /// A live recorder with an injected clock (e.g. a
     /// [`crate::clock::ManualClock`] driven by a simulation or test).
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
+        Obs::build(clock, true)
+    }
+
+    /// A live recorder that keeps counters, gauges and histograms but
+    /// records no spans: `span`, `span_at` and `host_span_at` are
+    /// no-ops, so memory stays bounded however long the process runs.
+    /// [`Obs::now_us`] still reads the wall clock.
+    pub fn metrics_only() -> Self {
+        Obs::build(Box::new(WallClock::new()), false)
+    }
+
+    fn build(clock: Box<dyn Clock>, record_spans: bool) -> Self {
         Obs {
             inner: Some(Arc::new(Inner {
                 clock,
-                spans: Mutex::new(Vec::new()),
+                spans: record_spans.then(|| Mutex::new(Vec::new())),
                 metrics: Registry::default(),
                 next_id: AtomicU64::new(1),
                 current: Mutex::new(HashMap::new()),
@@ -66,6 +83,13 @@ impl Obs {
         self.inner.is_some()
     }
 
+    /// Whether spans are being recorded (false for disabled and
+    /// metrics-only recorders). Use only to skip preparing span
+    /// attributes — span calls are already no-ops otherwise.
+    pub fn records_spans(&self) -> bool {
+        self.inner.as_ref().is_some_and(|i| i.spans.is_some())
+    }
+
     /// Recorder-clock time (µs); 0.0 when disabled.
     pub fn now_us(&self) -> f64 {
         self.inner.as_ref().map_or(0.0, |i| i.clock.now_us())
@@ -74,22 +98,26 @@ impl Obs {
     /// Open a guarded host-timeline span. The innermost open span on
     /// this thread becomes its parent; dropping the guard closes it.
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard<'_> {
-        let open = self.inner.as_ref().map(|inner| {
-            let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-            let tid = std::thread::current().id();
-            let mut current = inner.current.lock().expect("span stack lock");
-            let stack = current.entry(tid).or_default();
-            let parent = stack.last().copied();
-            stack.push(id);
-            OpenSpan {
-                id,
-                parent,
-                name,
-                cat,
-                start_us: inner.clock.now_us(),
-                attrs: Vec::new(),
-            }
-        });
+        let open = self
+            .inner
+            .as_ref()
+            .filter(|i| i.spans.is_some())
+            .map(|inner| {
+                let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+                let tid = std::thread::current().id();
+                let mut current = inner.current.lock().expect("span stack lock");
+                let stack = current.entry(tid).or_default();
+                let parent = stack.last().copied();
+                stack.push(id);
+                OpenSpan {
+                    id,
+                    parent,
+                    name,
+                    cat,
+                    start_us: inner.clock.now_us(),
+                    attrs: Vec::new(),
+                }
+            });
         SpanGuard { obs: self, open }
     }
 
@@ -137,8 +165,9 @@ impl Obs {
         attrs: Vec<(String, AttrValue)>,
     ) {
         let Some(inner) = &self.inner else { return };
+        let Some(spans) = &inner.spans else { return };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        inner.spans.lock().expect("span log lock").push(SpanRecord {
+        spans.lock().expect("span log lock").push(SpanRecord {
             id,
             parent: None,
             name: name.to_string(),
@@ -153,6 +182,7 @@ impl Obs {
 
     pub(crate) fn close_span(&self, open: OpenSpan) {
         let Some(inner) = &self.inner else { return };
+        let Some(spans) = &inner.spans else { return };
         let end_us = inner.clock.now_us();
         let tid = std::thread::current().id();
         {
@@ -168,7 +198,7 @@ impl Obs {
                 }
             }
         }
-        inner.spans.lock().expect("span log lock").push(SpanRecord {
+        spans.lock().expect("span log lock").push(SpanRecord {
             id: open.id,
             parent: open.parent,
             name: open.name.to_string(),
@@ -234,7 +264,10 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return TraceSnapshot::default();
         };
-        let mut spans = inner.spans.lock().expect("span log lock").clone();
+        let mut spans = inner
+            .spans
+            .as_ref()
+            .map_or_else(Vec::new, |log| log.lock().expect("span log lock").clone());
         spans.sort_by(|a, b| {
             a.start_us
                 .partial_cmp(&b.start_us)
@@ -398,6 +431,48 @@ mod tests {
         assert_eq!(s.parent, None);
         assert_eq!((s.start_us, s.end_us), (10.0, 25.0));
         assert_eq!((snap.spans[1].start_us, snap.spans[1].end_us), (30.0, 30.0));
+    }
+
+    /// The same span and metric calls, for comparing recorder modes.
+    fn exercise(obs: &Obs) {
+        {
+            let mut outer = obs.span("t", "outer").attr("k", 1u64);
+            outer.set_attr("late", true);
+            let _inner = obs.span("t", "inner");
+        }
+        obs.span_at("collect", "slot", "nodes 0-1", 0.0, 5.0, Vec::new());
+        obs.host_span_at("serve", "queue_wait", "req 1", 1.0, 2.0, Vec::new());
+        obs.incr_counter("c", 3);
+        obs.counter("c").add(2);
+        obs.set_gauge("g", 1.5);
+        obs.gauge("depth").add(4.0);
+        obs.gauge("depth").sub(1.0);
+        for v in [0.5, 10.0, 100.0, 1e6] {
+            obs.record_hist("h", v);
+        }
+    }
+
+    #[test]
+    fn metrics_only_recorder_keeps_metrics_but_no_spans() {
+        let full = Obs::enabled();
+        let lean = Obs::metrics_only();
+        exercise(&full);
+        exercise(&lean);
+        assert!(full.records_spans());
+        assert_eq!(full.snapshot().spans.len(), 4);
+
+        assert!(lean.is_enabled());
+        assert!(!lean.records_spans());
+        assert!(!Obs::disabled().records_spans());
+        assert!(
+            lean.now_us() > 0.0,
+            "metrics-only still reads the wall clock"
+        );
+        let snap = lean.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.clock, "wall");
+        assert_eq!(lean.metrics_snapshot(), full.metrics_snapshot());
+        assert_eq!(snap.metrics, full.metrics_snapshot());
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn run(service: &TuneService, config: &LoadGenConfig) -> LoadReport {
     let clients = config.clients.max(1);
     // Client-side latency aggregation lives in a recorder local to
     // this run, so it never mixes with the service's own metrics.
-    let recorder = Obs::enabled();
+    let recorder = Obs::metrics_only();
     let tune_latency = recorder.histogram("loadgen.tune_latency_us");
     let query_latency = recorder.histogram("loadgen.query_latency_us");
     let results = std::thread::scope(|scope| {

@@ -987,7 +987,7 @@ impl ServiceInner {
         }
         phases.probe_us = probe_started.elapsed().as_secs_f64() * 1e6;
         self.counters.phase_probe_us.record(phases.probe_us);
-        if obs.is_enabled() {
+        if obs.records_spans() {
             obs.host_span_at(
                 "serve",
                 "probe",
@@ -1029,7 +1029,7 @@ impl ServiceInner {
         phases.collect_us = (train_us - phases.refit_us).max(0.0);
         self.counters.phase_collect_us.record(phases.collect_us);
         self.counters.phase_refit_us.record(phases.refit_us);
-        if obs.is_enabled() {
+        if obs.records_spans() {
             obs.host_span_at(
                 "serve",
                 "collect",
@@ -1072,7 +1072,7 @@ impl ServiceInner {
         self.counters.cache_size.set(self.cache.len() as f64);
         phases.write_back_us = write_back_started.elapsed().as_secs_f64() * 1e6;
         self.counters.phase_write_back_us.record(phases.write_back_us);
-        if obs.is_enabled() {
+        if obs.records_spans() {
             obs.host_span_at(
                 "serve",
                 "write_back",
@@ -1114,7 +1114,7 @@ impl ServiceInner {
         let queue_wait_us = job.submitted.elapsed().as_secs_f64() * 1e6;
         let track = format!("req {}", job.state.id());
         let t_pop = self.obs.now_us();
-        if self.obs.is_enabled() {
+        if self.obs.records_spans() {
             self.obs.host_span_at(
                 "serve",
                 "queue_wait",
@@ -1311,7 +1311,7 @@ impl ServiceInner {
             slow,
             phases,
         });
-        if self.obs.is_enabled() {
+        if self.obs.records_spans() {
             let end = self.obs.now_us();
             self.obs.host_span_at(
                 "serve",

@@ -15,12 +15,15 @@
 //! 3. **Expositions are schema-valid** — the Prometheus text and JSON
 //!    scrapes and the flight-recorder dump validate under the
 //!    `obs-check` contracts and cover the documented series.
+//! 4. **The daemon default stays bounded** — a metrics-only recorder
+//!    counts every query and observation but keeps no span, however
+//!    much traffic it serves.
 
 use acclaim::obs::schema::{validate_flight_records, validate_metrics_json};
 use acclaim::obs::{to_metrics_json, to_prometheus, FlightRecorder};
 use acclaim::prelude::*;
 use acclaim::serve::loadgen;
-use acclaim::serve::QueryRequest;
+use acclaim::serve::{QueryRequest, QuerySource};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -197,6 +200,63 @@ fn expositions_validate_and_cover_the_documented_series() {
         .map(|(_, v)| *v)
         .unwrap_or(0);
     assert!(slow >= 1, "zero-threshold slow log never fired");
+
+    drop(service);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metrics_only_recorder_keeps_no_spans_under_sustained_traffic() {
+    const CALLS: u64 = 10_000;
+    let request = loadgen::request_pool(1, 11)[0].clone();
+    let dir = temp_dir("acclaim-telemetry-metrics-only");
+    let obs = Obs::metrics_only();
+    let service = TuneService::open(&dir, instrumented(), obs.clone()).unwrap();
+    let JobStatus::Done(_) = service.submit(request.clone()).wait() else {
+        panic!("job did not finish");
+    };
+    let queries: Vec<QueryRequest> = request
+        .config
+        .space
+        .points()
+        .into_iter()
+        .map(|point| QueryRequest {
+            dataset: request.dataset.clone(),
+            config: request.config.clone(),
+            collective: request.collectives[0],
+            point,
+        })
+        .collect();
+    for i in 0..CALLS as usize {
+        let query = &queries[i % queries.len()];
+        let answer = service.query(query);
+        assert_eq!(answer.source, QuerySource::Tuned);
+        assert!(service.observe(query, &answer.algorithm, 100.0).matched);
+    }
+
+    let snapshot = obs.snapshot();
+    assert!(
+        snapshot.spans.is_empty(),
+        "{} spans kept",
+        snapshot.spans.len()
+    );
+    let counter = |name: &str| {
+        snapshot
+            .metrics
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+    };
+    assert_eq!(counter("serve.queries"), Some(CALLS));
+    assert_eq!(counter("drift.observations"), Some(CALLS));
+    let latency = snapshot
+        .metrics
+        .histograms
+        .iter()
+        .find(|(n, _)| n == "serve.query_latency_us")
+        .map(|(_, h)| h.count);
+    assert_eq!(latency, Some(CALLS));
 
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
