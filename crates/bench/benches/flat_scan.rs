@@ -1,5 +1,4 @@
-//! Ablation: flat SoA forest inference vs pointer-chasing traversal,
-//! and the DES calendar queue vs the reference binary heap.
+//! Ablation: flat SoA forest inference vs pointer-chasing traversal.
 //!
 //! The flat engine flattens every tree into contiguous
 //! feature/threshold/child arrays, evaluates candidate blocks tree-major
@@ -12,13 +11,12 @@
 //! n≈800 samples, 64 trees, 1944 candidates.
 
 use acclaim_bench::simulation_env;
-use acclaim_collectives::{Algorithm, Collective};
+use acclaim_collectives::Collective;
 use acclaim_core::{
     all_candidates, rank_by_variance, rank_by_variance_flat, PerfModel, TrainingSample,
 };
 use acclaim_ml::ForestConfig;
-use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 /// Samples for the first `n` candidates of the space, in the same
@@ -62,25 +60,5 @@ fn flat_vs_pointer_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn des_queue_engines(c: &mut Criterion) {
-    let base = Cluster::bebop_like();
-    let alloc = Allocation::contiguous(&base.topology, 8);
-    let cl = base.with_allocation(alloc);
-    let sched = Algorithm::BcastScatterRingAllgather
-        .schedule(16, 65_536)
-        .materialize();
-    let mut group = c.benchmark_group("des_queue");
-    for (name, engine) in [
-        ("calendar", QueueEngine::Calendar),
-        ("binary_heap", QueueEngine::BinaryHeap),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, "bcast_sra_8x2"), &sched, |b, s| {
-            let mut sim = FlowSim::new().with_queue(engine);
-            b.iter(|| black_box(sim.simulate(&cl, 2, s)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, flat_vs_pointer_scan, des_queue_engines);
+criterion_group!(benches, flat_vs_pointer_scan);
 criterion_main!(benches);

@@ -1,12 +1,12 @@
 //! `bench_trajectory` — the PR's machine-readable perf trajectory.
 //!
-//! Times the workloads recent PRs optimized and emits `BENCH_pr12.json`
-//! at the repository root (override with `--out PATH`):
+//! Times the workloads recent PRs optimized and emits `BENCH_pr<PR>.json`
+//! at the repository root, numbered by [`PR`] (override with `--out
+//! PATH`):
 //!
 //! * the candidate variance scan, pointer-chasing vs flat SoA engine,
 //!   at the ablation shape (n≈800 samples, 64 trees, 1944 candidates);
-//! * the flow-level DES on a collective trace, binary-heap vs calendar
-//!   event queue;
+//! * the flow-level DES on one collective trace;
 //! * one end-to-end tune on the tiny grid (wall time, flat engine),
 //!   paired telemetry-off vs telemetry-on — the `telemetry_overhead`
 //!   ratio is the cost of the observability contract and should stay
@@ -28,9 +28,11 @@
 //!   they reproduce exactly on any machine.
 //!
 //! `--compare BASELINE.json` re-reads a committed trajectory and prints
-//! soft warnings for medians that regressed beyond a 25% band — it
-//! never fails the process, so CI surfaces drift without flaking on
-//! noisy runners.
+//! soft warnings for medians that regressed beyond a 25% band — a
+//! regression never fails the process, so CI surfaces drift without
+//! flaking on noisy runners. A baseline that cannot be read or parsed
+//! does: it exits nonzero before any timing, so a typoed or stale path
+//! cannot silently switch the comparison off.
 //!
 //! Timing is a hand-rolled warmup + median loop (the vendored criterion
 //! subset has no machine-readable export): medians over a small odd
@@ -45,16 +47,21 @@ use acclaim_core::{
 };
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace};
 use acclaim_ml::ForestConfig;
-use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
+use acclaim_netsim::{Allocation, Cluster, FlowSim};
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// The PR this trajectory records: the emitted `pr` field and the
+/// default `BENCH_pr<PR>.json` output name.
+const PR: u32 = 13;
 
 /// Schema version of the emitted file; bump on layout changes.
 /// v2 added the `analytic` block; v3 added the `serve_wire_query`
-/// and `store_entry_parse` medians.
-const BENCH_SCHEMA_VERSION: u32 = 3;
+/// and `store_entry_parse` medians; v4 keeps a single DES median
+/// (the DES has one event queue) and drops the DES speedup.
+const BENCH_SCHEMA_VERSION: u32 = 4;
 
 #[derive(Serialize)]
 struct Shape {
@@ -68,7 +75,6 @@ struct MediansUs {
     variance_scan_pointer: f64,
     variance_scan_flat: f64,
     des_binary_heap: f64,
-    des_calendar: f64,
     tune_e2e: f64,
     tune_e2e_obs: f64,
     serve_query_warm: f64,
@@ -79,7 +85,6 @@ struct MediansUs {
 #[derive(Serialize)]
 struct Speedups {
     variance_scan: f64,
-    des: f64,
     /// Telemetry-on over telemetry-off e2e tune wall time (≈1.0 when
     /// the instrumentation keeps its behaviorally-inert promise cheap).
     telemetry_overhead: f64,
@@ -192,7 +197,16 @@ fn main() {
         }
     }
     let out = out.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr12.json")
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_pr{PR}.json"))
+    });
+    // Read the baseline before timing anything, so a bad path fails
+    // fast instead of after the whole run.
+    let baseline = compare.map(|path| match read_baseline(&path) {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     });
 
     // -- Variance scan, pointer vs flat, at the ablation shape. --------
@@ -222,27 +236,18 @@ fn main() {
     eprintln!("variance_scan_pointer: {pointer:.1} µs");
     eprintln!("variance_scan_flat:    {flat:.1} µs");
 
-    // -- DES event queue, binary heap vs calendar. ---------------------
+    // -- Flow-level DES on one collective trace. -----------------------
     let base = Cluster::bebop_like();
     let alloc = Allocation::contiguous(&base.topology, 8);
     let cl = base.with_allocation(alloc);
     let sched = Algorithm::BcastScatterRingAllgather
         .schedule(16, 65_536)
         .materialize();
-    let mut heap_sim = FlowSim::new().with_queue(QueueEngine::BinaryHeap);
-    let mut cal_sim = FlowSim::new().with_queue(QueueEngine::Calendar);
-    let (des_heap, des_cal) = paired_median_us(
-        3,
-        15,
-        || {
-            black_box(heap_sim.simulate(&cl, 2, &sched));
-        },
-        || {
-            black_box(cal_sim.simulate(&cl, 2, &sched));
-        },
-    );
-    eprintln!("des_binary_heap: {des_heap:.1} µs");
-    eprintln!("des_calendar:    {des_cal:.1} µs");
+    let mut des_sim = FlowSim::new();
+    let des = median_us(3, 15, || {
+        black_box(des_sim.simulate(&cl, 2, &sched));
+    });
+    eprintln!("des_binary_heap: {des:.1} µs");
 
     // -- End-to-end tune on the tiny grid (flat engine), telemetry
     // off vs fully instrumented. Both sides keep their memoized
@@ -365,7 +370,7 @@ fn main() {
     );
 
     let trajectory = Trajectory {
-        pr: 12,
+        pr: PR,
         schema_version: BENCH_SCHEMA_VERSION,
         shape: Shape {
             n_samples: N_SAMPLES,
@@ -375,8 +380,7 @@ fn main() {
         medians_us: MediansUs {
             variance_scan_pointer: pointer,
             variance_scan_flat: flat,
-            des_binary_heap: des_heap,
-            des_calendar: des_cal,
+            des_binary_heap: des,
             tune_e2e: tune,
             tune_e2e_obs: tune_obs,
             serve_query_warm: serve_query,
@@ -385,7 +389,6 @@ fn main() {
         },
         speedups: Speedups {
             variance_scan: pointer / flat,
-            des: des_heap / des_cal,
             telemetry_overhead: tune_obs / tune,
         },
         analytic,
@@ -397,34 +400,36 @@ fn main() {
     eprintln!("[saved {}]", out.display());
 
     // -- Soft regression check against a committed baseline. -----------
-    if let Some(baseline) = compare {
+    if let Some(baseline) = baseline {
         compare_against(&baseline, &trajectory);
     }
 }
 
-/// Print soft warnings for medians that regressed >25% vs `baseline`.
+/// Read a committed trajectory for `--compare`. Errors when the file
+/// cannot be read, is not JSON, or has no `medians_us` object — any of
+/// which would otherwise leave nothing to compare against.
+fn read_baseline(path: &Path) -> Result<serde_json::Value, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    let baseline: serde_json::Value = serde_json::from_str(&text)
+        .map_err(|e| format!("cannot parse baseline {}: {e}", path.display()))?;
+    if baseline.get("medians_us").and_then(|m| m.as_object()).is_none() {
+        return Err(format!(
+            "baseline {} has no medians_us object",
+            path.display()
+        ));
+    }
+    Ok(baseline)
+}
+
+/// Print soft warnings for medians that regressed >25% vs `old`.
 /// Never exits nonzero: bench runners are noisy, and the trajectory is
 /// a trend signal, not a gate.
-fn compare_against(baseline: &PathBuf, current: &Trajectory) {
-    let text = match std::fs::read_to_string(baseline) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("warning: cannot read baseline {}: {e}", baseline.display());
-            return;
-        }
-    };
-    let old: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("warning: cannot parse baseline {}: {e}", baseline.display());
-            return;
-        }
-    };
+fn compare_against(old: &serde_json::Value, current: &Trajectory) {
     let pairs = [
         ("variance_scan_pointer", current.medians_us.variance_scan_pointer),
         ("variance_scan_flat", current.medians_us.variance_scan_flat),
         ("des_binary_heap", current.medians_us.des_binary_heap),
-        ("des_calendar", current.medians_us.des_calendar),
         ("tune_e2e", current.medians_us.tune_e2e),
         ("tune_e2e_obs", current.medians_us.tune_e2e_obs),
         ("serve_query_warm", current.medians_us.serve_query_warm),
@@ -451,5 +456,51 @@ fn compare_against(baseline: &PathBuf, current: &Trajectory) {
     }
     if regressed == 0 {
         eprintln!("baseline comparison: no median regressed beyond the 25% band");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::read_baseline;
+
+    #[test]
+    fn unreadable_or_unparsable_baselines_are_errors() {
+        let dir = std::env::temp_dir().join(format!(
+            "acclaim-bench-baseline-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let missing = dir.join("BENCH_missing.json");
+        let err = read_baseline(&missing).unwrap_err();
+        assert!(err.starts_with("cannot read baseline"), "{err}");
+
+        let garbage = dir.join("garbage.json");
+        std::fs::write(&garbage, "{\"medians_us\": {").unwrap();
+        let err = read_baseline(&garbage).unwrap_err();
+        assert!(err.starts_with("cannot parse baseline"), "{err}");
+
+        let not_a_trajectory = dir.join("other.json");
+        std::fs::write(&not_a_trajectory, "{\"pr\": 12}").unwrap();
+        let err = read_baseline(&not_a_trajectory).unwrap_err();
+        assert!(err.contains("no medians_us object"), "{err}");
+
+        let good = dir.join("good.json");
+        std::fs::write(&good, "{\"medians_us\": {\"des_binary_heap\": 1.5}}").unwrap();
+        let baseline = read_baseline(&good).expect("well-formed baseline reads");
+        let heap = baseline
+            .get("medians_us")
+            .and_then(|m| m.get("des_binary_heap"))
+            .and_then(|v| v.as_f64());
+        assert_eq!(heap, Some(1.5));
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn committed_baseline_reads() {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../BENCH_pr{}.json", super::PR));
+        read_baseline(&path).expect("the committed trajectory is a valid baseline");
     }
 }

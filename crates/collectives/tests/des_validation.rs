@@ -130,3 +130,67 @@ fn nonp2_message_sizes_penalize_whole_transfers_but_padding_escapes() {
         "binomial must pay the non-P2 slow path: ratio {bin_ratio}"
     );
 }
+
+/// `FlowSim` completion times, as `f64` bits, for every algorithm's
+/// 16-rank schedule on 8 `bebop_like` nodes at ppn 2 and 64 KiB. Any
+/// change to the event loop's pop order, however small, moves a bit.
+const GOLDEN_16_RANKS: [(Algorithm, u64); 10] = [
+    (Algorithm::AllgatherRing, 0x40835c0000000000),
+    (Algorithm::AllgatherRecursiveDoubling, 0x40924374bc6a7efa),
+    (Algorithm::AllgatherBrucks, 0x4096b15604189375),
+    (Algorithm::AllreduceRecursiveDoubling, 0x4074d47ae147ae15),
+    (Algorithm::AllreduceReduceScatterAllgather, 0x40657ef9db22d0e4),
+    (Algorithm::BcastBinomial, 0x40701b3b645a1cac),
+    (Algorithm::BcastScatterRecursiveDoublingAllgather, 0x40610d916872b020),
+    (Algorithm::BcastScatterRingAllgather, 0x40555ced916872b2),
+    (Algorithm::ReduceBinomial, 0x406946a7ef9db22e),
+    (Algorithm::ReduceScatterGather, 0x4060f3b645a1cabf),
+];
+
+/// A degraded trace: 12-rank recursive-doubling allreduce (non-P2, so
+/// it folds) at 64 KiB on a 6-node allocation with doubled placement
+/// latency, ppn 2.
+const GOLDEN_DEGRADED: u64 = 0x407e449374bc6a80;
+
+/// A trace whose result depends on the order equal-time events pop in:
+/// 7-rank binomial reduce at 64 KiB on 7 nodes, ppn 1. The traces
+/// above come out the same whichever way ties break; this one moves if
+/// equal times stop popping in push order.
+const GOLDEN_TIE_ORDER: u64 = 0x4063db22d0e56042;
+
+#[test]
+fn des_results_match_golden_bits() {
+    let mut des = FlowSim::new();
+    let c = cluster(8);
+    assert_eq!(GOLDEN_16_RANKS.map(|(a, _)| a), Algorithm::ALL);
+    for (a, bits) in GOLDEN_16_RANKS {
+        let t = des.simulate(&c, 2, &a.schedule(16, 65_536).materialize());
+        assert_eq!(
+            t.to_bits(),
+            bits,
+            "{a:?}: {t} != golden {}",
+            f64::from_bits(bits)
+        );
+    }
+
+    let degraded = cluster(6).with_job_latency_factor(2.0);
+    let sched = Algorithm::AllreduceRecursiveDoubling
+        .schedule(12, 65_536)
+        .materialize();
+    let t = des.simulate(&degraded, 2, &sched);
+    assert_eq!(
+        t.to_bits(),
+        GOLDEN_DEGRADED,
+        "degraded trace: {t} != golden {}",
+        f64::from_bits(GOLDEN_DEGRADED)
+    );
+
+    let sched = Algorithm::ReduceBinomial.schedule(7, 65_536).materialize();
+    let t = des.simulate(&cluster(7), 1, &sched);
+    assert_eq!(
+        t.to_bits(),
+        GOLDEN_TIE_ORDER,
+        "tie-order trace: {t} != golden {}",
+        f64::from_bits(GOLDEN_TIE_ORDER)
+    );
+}

@@ -9,7 +9,6 @@
 //! simulator on small configurations and for unit/property tests.
 
 use crate::cluster::Cluster;
-use crate::equeue::CalendarQueue;
 use crate::schedule::{MaterializedSchedule, Msg};
 use acclaim_obs::{Counter, Histogram, Obs};
 use std::cmp::Reverse;
@@ -117,8 +116,8 @@ struct QueuedEvent {
 
 // PartialEq is written out (not derived) so equality stays consistent
 // with `Ord`: a derived impl would compare `time` with f64 `==`, which
-// disagrees with `total_cmp` on -0.0/0.0 and NaN — the exact class of
-// float-ordering divergence the PR 6 audit is after.
+// disagrees with `total_cmp` on -0.0/0.0 and NaN, and the heap's pop
+// order would then depend on which comparison it happened to use.
 impl PartialEq for QueuedEvent {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
@@ -138,64 +137,27 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Which priority-queue implementation orders the DES event loop. Both
-/// pop the pending event minimal under `(time.total_cmp, seq)`, so the
-/// simulated result is bit-identical either way (asserted by the
-/// `engines` equivalence tests); they differ only in host cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueEngine {
-    /// Calendar (bucket) queue — amortized O(1) push/pop
-    /// ([`CalendarQueue`]). The default.
-    #[default]
-    Calendar,
-    /// The reference `std::collections::BinaryHeap` (O(log n)): kept
-    /// for equivalence testing and the `bench` engine comparison.
-    BinaryHeap,
-}
-
-/// The event loop's priority queue, behind the engine switch. Owns the
-/// `seq` tiebreaker so pushes are totally ordered no matter the engine.
-enum EventQueue {
-    Calendar { seq: u64, q: CalendarQueue<Event> },
-    Heap { seq: u64, q: BinaryHeap<Reverse<QueuedEvent>> },
+/// The event loop's min-queue: pops the pending event minimal under
+/// `(time.total_cmp, seq)`, where `seq` numbers pushes, so events at
+/// equal times run in the order they were scheduled.
+#[derive(Default)]
+struct EventQueue {
+    seq: u64,
+    heap: BinaryHeap<Reverse<QueuedEvent>>,
 }
 
 impl EventQueue {
-    fn new(engine: QueueEngine) -> Self {
-        match engine {
-            QueueEngine::Calendar => EventQueue::Calendar {
-                seq: 0,
-                q: CalendarQueue::new(),
-            },
-            QueueEngine::BinaryHeap => EventQueue::Heap {
-                seq: 0,
-                q: BinaryHeap::new(),
-            },
-        }
-    }
-
     fn push(&mut self, time: f64, event: Event) {
-        match self {
-            EventQueue::Calendar { seq, q } => {
-                *seq += 1;
-                q.push(time, *seq, event);
-            }
-            EventQueue::Heap { seq, q } => {
-                *seq += 1;
-                q.push(Reverse(QueuedEvent {
-                    time,
-                    seq: *seq,
-                    event,
-                }));
-            }
-        }
+        self.seq += 1;
+        self.heap.push(Reverse(QueuedEvent {
+            time,
+            seq: self.seq,
+            event,
+        }));
     }
 
     fn pop(&mut self) -> Option<(f64, Event)> {
-        match self {
-            EventQueue::Calendar { q, .. } => q.pop().map(|(time, _, event)| (time, event)),
-            EventQueue::Heap { q, .. } => q.pop().map(|Reverse(e)| (e.time, e.event)),
-        }
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 }
 
@@ -203,7 +165,6 @@ impl EventQueue {
 #[derive(Debug, Default)]
 pub struct FlowSim {
     obs: FlowSimObs,
-    engine: QueueEngine,
 }
 
 /// Pre-resolved metric handles ([`FlowSim::with_obs`]); default
@@ -238,20 +199,7 @@ impl FlowSim {
                 sim_us: obs.histogram("netsim.des.sim_us"),
                 host_us: obs.histogram("netsim.des.host_us"),
             },
-            engine: QueueEngine::default(),
         }
-    }
-
-    /// Select the event-queue engine (builder style). Results are
-    /// bit-identical across engines; see [`QueueEngine`].
-    pub fn with_queue(mut self, engine: QueueEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine the event loop runs on.
-    pub fn queue_engine(&self) -> QueueEngine {
-        self.engine
     }
 
     /// Simulate one execution; returns the completion time (µs) at which
@@ -320,7 +268,7 @@ impl FlowSim {
             }
         }
 
-        let mut queue = EventQueue::new(self.engine);
+        let mut queue = EventQueue::default();
 
         // Rank state: the round each rank currently occupies (or n_rounds
         // when done). Entering a round posts its sends with serialized
@@ -659,45 +607,73 @@ mod tests {
         assert!((tr - tp - extra).abs() < 1e-6, "tp={tp} tr={tr} extra={extra}");
     }
 
-    #[test]
-    fn queue_engines_are_bit_identical() {
-        let c = Cluster::bebop_like();
-        let scheds = [
-            sched(2, vec![vec![Msg::data(0, 1, 65_536)]]),
-            sched(
-                4,
-                vec![vec![Msg::data(0, 2, 1 << 20), Msg::data(1, 3, 1 << 20)]],
-            ),
-            sched(
-                8,
-                vec![
-                    vec![Msg::data(0, 4, 1 << 16)],
-                    vec![Msg::data(0, 2, 1 << 16), Msg::data(4, 6, 1 << 16)],
-                    vec![
-                        Msg::data(0, 1, 1 << 16),
-                        Msg::data(2, 3, 1 << 16),
-                        Msg::data(4, 5, 1 << 16),
-                        Msg::data(6, 7, 1 << 16),
-                    ],
-                ],
-            ),
-        ];
-        for (i, s) in scheds.iter().enumerate() {
-            for ppn in [1, 2] {
-                let cal = FlowSim::new()
-                    .with_queue(QueueEngine::Calendar)
-                    .simulate(&c, ppn, s);
-                let heap = FlowSim::new()
-                    .with_queue(QueueEngine::BinaryHeap)
-                    .simulate(&c, ppn, s);
-                assert_eq!(
-                    cal.to_bits(),
-                    heap.to_bits(),
-                    "engines diverged on schedule {i} ppn {ppn}: {cal} vs {heap}"
-                );
-            }
+    fn queued(time: f64, seq: u64) -> QueuedEvent {
+        QueuedEvent {
+            time,
+            seq,
+            event: Event::Delivery(seq as u32),
         }
-        assert_eq!(FlowSim::new().queue_engine(), QueueEngine::Calendar);
+    }
+
+    #[test]
+    fn equal_times_pop_in_push_order() {
+        let mut heap = BinaryHeap::new();
+        // Pushed out of seq order, all at one instant, with an earlier
+        // and a later event around them.
+        for seq in [3, 1, 4, 2, 5] {
+            heap.push(Reverse(queued(10.0, seq)));
+        }
+        heap.push(Reverse(queued(20.0, 0)));
+        heap.push(Reverse(queued(5.0, 9)));
+        let popped: Vec<(f64, u64)> = std::iter::from_fn(|| heap.pop())
+            .map(|Reverse(e)| (e.time, e.seq))
+            .collect();
+        assert_eq!(
+            popped,
+            vec![(5.0, 9), (10.0, 1), (10.0, 2), (10.0, 3), (10.0, 4), (10.0, 5), (20.0, 0)]
+        );
+
+        // Through the loop's queue, seq is the push order itself.
+        let mut q = EventQueue::default();
+        for fid in 0..6 {
+            q.push(7.5, Event::FlowStart(fid));
+        }
+        q.push(1.0, Event::Delivery(99));
+        assert_eq!(q.pop(), Some((1.0, Event::Delivery(99))));
+        for fid in 0..6 {
+            assert_eq!(q.pop(), Some((7.5, Event::FlowStart(fid))));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn signed_zero_and_nan_compare_consistently() {
+        use std::cmp::Ordering;
+        let pairs = [
+            (queued(-0.0, 1), queued(0.0, 1)),
+            (queued(0.0, 1), queued(-0.0, 1)),
+            (queued(-0.0, 2), queued(0.0, 1)),
+            (queued(0.0, 1), queued(0.0, 1)),
+            (queued(f64::NAN, 1), queued(f64::NAN, 1)),
+            (queued(f64::NAN, 1), queued(1.0, 1)),
+        ];
+        for (a, b) in pairs {
+            assert_eq!(
+                a == b,
+                a.cmp(&b) == Ordering::Equal,
+                "Eq and Ord disagree on ({}, {}) vs ({}, {})",
+                a.time,
+                a.seq,
+                b.time,
+                b.seq
+            );
+            assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+            assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        }
+        // total_cmp orders -0.0 strictly before 0.0, whatever the seq.
+        assert!(queued(-0.0, 2) < queued(0.0, 1));
+        assert_ne!(queued(-0.0, 1), queued(0.0, 1));
+        assert_eq!(queued(f64::NAN, 1), queued(f64::NAN, 1));
     }
 
     #[test]

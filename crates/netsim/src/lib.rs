@@ -24,7 +24,6 @@
 
 pub mod cluster;
 pub mod des;
-pub mod equeue;
 pub mod fault;
 pub mod fingerprint;
 pub mod noise;
@@ -34,8 +33,7 @@ pub mod schedule;
 pub mod topology;
 
 pub use cluster::Cluster;
-pub use des::{FlowSim, QueueEngine};
-pub use equeue::CalendarQueue;
+pub use des::FlowSim;
 pub use fault::{BenchFault, FaultModel, NodeFailure};
 pub use fingerprint::{stable_hash64, Fingerprint};
 pub use noise::NoiseModel;
