@@ -20,7 +20,7 @@
 use acclaim_bench::simulation_env;
 use acclaim_collectives::Collective;
 use acclaim_core::{all_candidates, rank_by_variance, PerfModel, TrainingSample, VarianceScanCache};
-use acclaim_ml::{ForestConfig, TreeUpdate};
+use acclaim_ml::{ForestConfig, RefitWorkingSet, TreeUpdate};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -83,13 +83,15 @@ fn bench_model_update(c: &mut Criterion) {
 
     // Incremental: warm-start the forest and patch only the refitted
     // trees' columns of the cached scan. The clone puts the run back at
-    // N0; its cost is amortized over the APPENDS updates.
+    // N0, and the fresh working set costs one column sort; both are
+    // amortized over the APPENDS updates.
     group.bench_function("incremental", |b| {
         b.iter(|| {
             let mut model = base_model.clone();
             let mut cache = base_cache.clone();
+            let mut ws = RefitWorkingSet::default();
             for n in N0 + 1..=N0 + APPENDS {
-                let changed = model.fit_incremental(&samples[..n], &config);
+                let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
                 cache.refresh(&model, &changed);
                 black_box(cache.ranking());
             }

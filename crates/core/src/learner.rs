@@ -24,7 +24,7 @@ use crate::model::{PerfModel, TrainingSample};
 use crate::selection::{all_candidates, Candidate, NonP2Injector, VarianceScanCache};
 use acclaim_collectives::Collective;
 use acclaim_dataset::{splits, BenchmarkDatabase, FeatureSpace, Point};
-use acclaim_ml::{ForestConfig, TreeUpdate};
+use acclaim_ml::{ForestConfig, RefitWorkingSet, TreeUpdate};
 use acclaim_netsim::Allocation;
 use acclaim_obs::{AttrValue, Counter, Obs};
 use rand::seq::SliceRandom;
@@ -737,6 +737,11 @@ impl ActiveLearner {
         let mut surrogate_order: Vec<Candidate> = Vec::new();
         let mut surrogate_age = 0usize;
         let mut model: Option<PerfModel> = None;
+        // Refit state (column sorts and bootstrap multiplicities) of
+        // `model` and of `surrogate_model`. Each model is created once
+        // and only ever refit; the state is dropped with this call.
+        let mut model_ws = RefitWorkingSet::default();
+        let mut surrogate_ws = RefitWorkingSet::default();
         let mut cache = VarianceScanCache::new(remaining.clone()).with_flat(cfg.flat);
         let mut surrogate_model: Option<PerfModel> = None;
         let mut surrogate_cache: Option<VarianceScanCache> = None;
@@ -770,7 +775,7 @@ impl ActiveLearner {
             let changed = {
                 let mut fit_span = obs.span("learner", "fit");
                 let changed = match model.as_mut().filter(|_| cfg.incremental) {
-                    Some(m) => m.fit_incremental(&collected, &cfg.forest),
+                    Some(m) => m.fit_incremental(&collected, &cfg.forest, &mut model_ws),
                     None => {
                         model = Some(PerfModel::fit(collective, &collected, &cfg.forest));
                         TreeUpdate::full_refit(cfg.forest.n_trees)
@@ -877,15 +882,15 @@ impl ActiveLearner {
                         // The surrogate refits (warm-started when
                         // `incremental`) and keeps its own scan cache.
                         let sur_start = Instant::now();
-                        let sur_changed =
-                            match surrogate_model.as_mut().filter(|_| cfg.incremental) {
-                                Some(m) => m.fit_incremental(&collected, surrogate),
-                                None => {
-                                    surrogate_model =
-                                        Some(PerfModel::fit(collective, &collected, surrogate));
-                                    TreeUpdate::full_refit(surrogate.n_trees)
-                                }
-                            };
+                        let sur_changed = match surrogate_model.as_mut().filter(|_| cfg.incremental)
+                        {
+                            Some(m) => m.fit_incremental(&collected, surrogate, &mut surrogate_ws),
+                            None => {
+                                surrogate_model =
+                                    Some(PerfModel::fit(collective, &collected, surrogate));
+                                TreeUpdate::full_refit(surrogate.n_trees)
+                            }
+                        };
                         let sm = surrogate_model.as_ref().expect("surrogate fitted above");
                         let sc = surrogate_cache
                             .get_or_insert_with(|| {
@@ -1048,7 +1053,7 @@ impl ActiveLearner {
             let _fit_span = obs.span("learner", "final_fit");
             match model {
                 Some(mut m) if cfg.incremental => {
-                    m.fit_incremental(&collected, &cfg.forest);
+                    m.fit_incremental(&collected, &cfg.forest, &mut model_ws);
                     m
                 }
                 _ => PerfModel::fit(collective, &collected, &cfg.forest),

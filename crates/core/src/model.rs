@@ -19,7 +19,9 @@
 
 use acclaim_collectives::{Algorithm, Collective};
 use acclaim_dataset::Point;
-use acclaim_ml::{jackknife_variance, FeatureMatrix, ForestConfig, RandomForest, TreeUpdate};
+use acclaim_ml::{
+    jackknife_variance, FeatureMatrix, ForestConfig, RandomForest, RefitWorkingSet, TreeUpdate,
+};
 use serde::{Deserialize, Serialize};
 
 /// One collected training sample.
@@ -102,12 +104,19 @@ impl PerfModel {
     /// which is exactly what a per-tree prediction cache must
     /// invalidate.
     ///
+    /// `ws` carries the forest's sorted columns and bootstrap
+    /// multiplicities between refits (see [`RefitWorkingSet`]): the
+    /// caller keeps one per model for the model's training run and drops
+    /// it afterwards. It is not part of the model, so store entries and
+    /// clones never carry it; a fresh one costs one column sort.
+    ///
     /// The result is bit-for-bit the model [`PerfModel::fit`] would
     /// build on the full `samples` slice with the same `config`.
     pub fn fit_incremental(
         &mut self,
         samples: &[TrainingSample],
         config: &ForestConfig,
+        ws: &mut RefitWorkingSet,
     ) -> Vec<TreeUpdate> {
         let fitted = self.y.len();
         assert!(
@@ -116,7 +125,7 @@ impl PerfModel {
             samples.len()
         );
         Self::featurize(self.collective, &samples[fitted..], &mut self.x, &mut self.y);
-        self.forest.refit_incremental(config, &self.x, &self.y)
+        self.forest.refit_incremental(config, &self.x, &self.y, ws)
     }
 
     /// The collective this model serves.
@@ -281,8 +290,9 @@ mod tests {
             ..ForestConfig::default()
         };
         let mut m = PerfModel::fit(Collective::Bcast, &all[..10], &cfg);
+        let mut ws = RefitWorkingSet::default();
         for upto in [11, 14, all.len()] {
-            let changed = m.fit_incremental(&all[..upto], &cfg);
+            let changed = m.fit_incremental(&all[..upto], &cfg, &mut ws);
             let scratch = PerfModel::fit(Collective::Bcast, &all[..upto], &cfg);
             assert!(changed.len() <= cfg.n_trees);
             let mut scratch_preds = Vec::new();
@@ -304,7 +314,7 @@ mod tests {
         let all = samples_for(&db, Collective::Bcast);
         let cfg = ForestConfig::default();
         let mut m = PerfModel::fit(Collective::Bcast, &all[..10], &cfg);
-        let _ = m.fit_incremental(&all[..5], &cfg);
+        let _ = m.fit_incremental(&all[..5], &cfg, &mut RefitWorkingSet::default());
     }
 
     #[test]

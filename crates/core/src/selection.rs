@@ -370,7 +370,7 @@ mod tests {
     use super::*;
     use crate::model::TrainingSample;
     use acclaim_dataset::{BenchmarkDatabase, DatasetConfig};
-    use acclaim_ml::ForestConfig;
+    use acclaim_ml::{ForestConfig, RefitWorkingSet};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -429,10 +429,11 @@ mod tests {
             .collect();
         let cands = all_candidates(Collective::Bcast, &space);
         let mut model = PerfModel::fit(Collective::Bcast, &all[..6], &cfg);
+        let mut ws = RefitWorkingSet::default();
         let mut cache = VarianceScanCache::new(cands.clone());
         cache.refresh(&model, &TreeUpdate::full_refit(cfg.n_trees));
         for upto in 7..=18 {
-            let changed = model.fit_incremental(&all[..upto], &cfg);
+            let changed = model.fit_incremental(&all[..upto], &cfg, &mut ws);
             cache.refresh(&model, &changed);
             let cached = cache.ranking();
             let cold = rank_by_variance(&model, cache.candidates());
@@ -468,8 +469,9 @@ mod tests {
         pointer.refresh(&model, &TreeUpdate::full_refit(cfg.n_trees));
         flat.refresh(&model, &TreeUpdate::full_refit(cfg.n_trees));
         assert_eq!(pointer.ranking(), flat.ranking(), "full fill diverged");
+        let mut ws = RefitWorkingSet::default();
         for upto in 7..=14 {
-            let changed = model.fit_incremental(&all[..upto], &cfg);
+            let changed = model.fit_incremental(&all[..upto], &cfg, &mut ws);
             let sp = pointer.refresh(&model, &changed);
             let sf = flat.refresh(&model, &changed);
             assert_eq!(sp, sf, "refresh stats diverged at n={upto}");

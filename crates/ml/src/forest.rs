@@ -7,7 +7,7 @@
 //! predictions, which scikit-learn exposes and we therefore expose too.
 
 use crate::data::FeatureMatrix;
-use crate::tree::{DecisionTree, DirtyRegion, TreeConfig};
+use crate::tree::{insert_sorted, row_id, sorted_orders, DecisionTree, DirtyRegion, TreeConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -128,6 +128,68 @@ impl TreeUpdate {
     }
 }
 
+/// State that [`RandomForest::refit_incremental`] keeps between refits
+/// of one forest so that no refit sorts: the rows stably sorted by each
+/// feature (appended rows are inserted by binary search), and each
+/// tree's row multiplicities. A refit expands a tree's builder inputs
+/// from these in linear time.
+///
+/// The state belongs to whoever drives the refits and lives only as
+/// long as they do; it is not part of the forest, so it is never
+/// serialized, compared or cloned with it. A refit that finds the state
+/// describing a different watermark or config starts it over (from one
+/// column sort), so a fresh or mismatched state costs time, never
+/// correctness. The owner must drop it when it replaces the forest with
+/// one fitted on different rows.
+#[derive(Debug, Default)]
+pub struct RefitWorkingSet {
+    /// Row count and config the state describes.
+    n_samples: usize,
+    config: Option<ForestConfig>,
+    /// Rows `0..n_samples` stably sorted by each feature.
+    columns: Vec<Vec<u32>>,
+    /// Per tree, the multiplicity of each row in its multiset, filled
+    /// in the first time the tree draws an appended row.
+    weights: Vec<Vec<u8>>,
+}
+
+/// A tree's builder inputs over rows `0..weights.len()`: its multiset
+/// (ascending rows, `weights[r]` copies of row `r`, copies adjacent) and
+/// that multiset's per-feature stable sorts. `columns` stably sorts at
+/// least those rows; later rows are skipped. Expanding each row of a
+/// stable column sort in place into its copies yields the stable sort of
+/// the ascending multiset: equal values stay in ascending row order and
+/// copies stay adjacent.
+fn expand(columns: &[Vec<u32>], weights: &[u8]) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let len = weights.iter().map(|&w| usize::from(w)).sum();
+    let upto = row_id(weights.len());
+    let multiset = repeat_rows(0..upto, weights, len);
+    let orders = columns
+        .iter()
+        .map(|column| repeat_rows(column.iter().copied().filter(|&r| r < upto), weights, len))
+        .collect();
+    (multiset, orders)
+}
+
+/// `weights[r]` copies of each row `r` of `rows`, in order (`len` in
+/// all).
+fn repeat_rows(rows: impl Iterator<Item = u32>, weights: &[u8], len: usize) -> Vec<u32> {
+    // Four slots are written per row whatever its multiplicity (most are
+    // 0–2), which keeps the loop free of unpredictable branches.
+    let mut out = vec![0; len + 4];
+    let mut at = 0;
+    for r in rows {
+        let k = usize::from(weights[r as usize]);
+        out[at..at + 4].fill(r);
+        for slot in &mut out[at + 4.min(k)..at + k] {
+            *slot = r;
+        }
+        at += k;
+    }
+    out.truncate(len);
+    out
+}
+
 /// A fitted random forest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
@@ -138,15 +200,22 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit `config.n_trees` trees in parallel (rayon).
+    /// Fit `config.n_trees` trees in parallel (rayon). Unless trees
+    /// draw classic resamples, one stable sort per feature serves every
+    /// tree.
     pub fn fit(config: &ForestConfig, x: &FeatureMatrix, y: &[f64]) -> Self {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         assert!(!x.is_empty(), "cannot fit a forest on zero samples");
         assert!(config.n_trees > 0, "need at least one tree");
         let n = x.len();
+        let columns = if config.bootstrap && config.scheme == BootstrapScheme::Resample {
+            Vec::new()
+        } else {
+            sorted_orders(x, &(0..row_id(n)).collect::<Vec<u32>>())
+        };
         let trees: Vec<DecisionTree> = (0..config.n_trees)
             .into_par_iter()
-            .map(|t| Self::fit_tree(config, x, y, t))
+            .map(|t| Self::fit_tree(config, x, y, t, &columns))
             .collect();
         RandomForest { trees, n_samples: n }
     }
@@ -156,46 +225,56 @@ impl RandomForest {
         config.seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Tree `t`'s resample under the hashed scheme, in canonical
-    /// ascending order (copies adjacent). Empty when no sample hashes in.
-    fn hashed_indices(config: &ForestConfig, t: usize, n: usize) -> Vec<usize> {
-        (0..n)
-            .flat_map(|i| std::iter::repeat_n(i, bootstrap_weight(config.seed, t, i)))
-            .collect()
+    /// Multiplicity of `sample` in tree `t`'s multiset (1 without
+    /// bootstrap; unused under [`BootstrapScheme::Resample`]).
+    fn multiplicity(config: &ForestConfig, t: usize, sample: usize) -> u8 {
+        if config.bootstrap {
+            let w = bootstrap_weight(config.seed, t, sample);
+            u8::try_from(w).expect("Poisson draws are capped at 16")
+        } else {
+            1
+        }
     }
 
-    /// Fit tree `t` from scratch on the first `x.len()` samples.
-    fn fit_tree(config: &ForestConfig, x: &FeatureMatrix, y: &[f64], t: usize) -> DecisionTree {
+    /// Fit tree `t` from scratch on the first `x.len()` samples, given
+    /// their stable column sort (empty under
+    /// [`BootstrapScheme::Resample`]).
+    fn fit_tree(
+        config: &ForestConfig,
+        x: &FeatureMatrix,
+        y: &[f64],
+        t: usize,
+        columns: &[Vec<u32>],
+    ) -> DecisionTree {
         let n = x.len();
-        if !config.bootstrap {
-            let indices: Vec<usize> = (0..n).collect();
-            return DecisionTree::fit_seeded(&config.tree, x, y, &indices, Self::tree_seed(config, t));
+        let seed = Self::tree_seed(config, t);
+        if config.bootstrap && config.scheme == BootstrapScheme::Resample {
+            // Independent, deterministic stream per tree.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
+            return DecisionTree::fit(&config.tree, x, y, &indices, &mut rng);
         }
-        match config.scheme {
-            BootstrapScheme::Resample => {
-                // Independent, deterministic stream per tree.
-                let mut rng = StdRng::seed_from_u64(Self::tree_seed(config, t));
-                let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-                DecisionTree::fit(&config.tree, x, y, &indices, &mut rng)
-            }
-            BootstrapScheme::Hashed => {
-                let mut indices = Self::hashed_indices(config, t, n);
-                if indices.is_empty() {
-                    // Every sample hashed out (likely only for tiny n):
-                    // fall back to training on everything.
-                    indices = (0..n).collect();
-                }
-                DecisionTree::fit_seeded(&config.tree, x, y, &indices, Self::tree_seed(config, t))
-            }
+        let mut weights: Vec<u8> = (0..n).map(|i| Self::multiplicity(config, t, i)).collect();
+        if weights.iter().all(|&w| w == 0) {
+            // Every sample hashed out (likely only for tiny n): fall
+            // back to training on everything.
+            weights.fill(1);
         }
+        let (indices, orders) = expand(columns, &weights);
+        DecisionTree::fit_presorted(&config.tree, x, y, indices, orders, seed)
     }
 
     /// Refit after rows were appended to `(x, y)` (all rows before the
     /// previous fit's watermark must be unchanged). Only trees whose
     /// hashed resample actually draws one of the new samples are
     /// rebuilt — and those rebuilds recompute splits only along each new
-    /// sample's path (see [`DecisionTree::refit_appended`]). The result
-    /// is bit-for-bit identical to `RandomForest::fit` on the full data.
+    /// sample's path. The result is bit-for-bit identical to
+    /// `RandomForest::fit` on the full data.
+    ///
+    /// `ws` carries the sorted columns and bootstrap multiplicities from
+    /// one refit to the next (see [`RefitWorkingSet`]); pass the same
+    /// one for every refit of this forest, or a fresh one at the cost of
+    /// one column sort.
     ///
     /// Returns a [`TreeUpdate`] per rebuilt tree — its index plus the
     /// feature-space region its predictions may have changed in — so
@@ -208,6 +287,7 @@ impl RandomForest {
         config: &ForestConfig,
         x: &FeatureMatrix,
         y: &[f64],
+        ws: &mut RefitWorkingSet,
     ) -> Vec<TreeUpdate> {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         assert_eq!(config.n_trees, self.trees.len(), "config/forest tree count mismatch");
@@ -224,12 +304,30 @@ impl RandomForest {
         }
         if old_n == 0 || (config.bootstrap && config.scheme == BootstrapScheme::Resample) {
             *self = Self::fit(config, x, y);
+            *ws = RefitWorkingSet::default();
             return TreeUpdate::full_refit(self.trees.len());
         }
+        if ws.n_samples != old_n || ws.config != Some(*config) {
+            *ws = RefitWorkingSet {
+                n_samples: old_n,
+                config: Some(*config),
+                columns: sorted_orders(x, &(0..row_id(old_n)).collect::<Vec<u32>>()),
+                weights: vec![Vec::new(); config.n_trees],
+            };
+        }
+        // Each new row is the largest so far, so inserting it after every
+        // equal value keeps the columns a stable sort.
+        for s in old_n..new_n {
+            for (f, order) in ws.columns.iter_mut().enumerate() {
+                insert_sorted(x, order, f, row_id(s));
+            }
+        }
 
-        let refitted: Vec<Option<(DecisionTree, DirtyRegion)>> = (0..self.trees.len())
+        let columns = &ws.columns;
+        let slots: Vec<(usize, &mut Vec<u8>)> = ws.weights.iter_mut().enumerate().collect();
+        let refitted: Vec<Option<(DecisionTree, DirtyRegion)>> = slots
             .into_par_iter()
-            .map(|t| self.refit_tree(config, x, y, t, old_n, new_n))
+            .map(|(t, weights)| self.refit_tree(config, x, y, t, old_n, new_n, columns, weights))
             .collect();
         let mut changed = Vec::new();
         for (t, refit) in refitted.into_iter().enumerate() {
@@ -238,6 +336,7 @@ impl RandomForest {
                 changed.push(TreeUpdate { tree: t, dirty });
             }
         }
+        ws.n_samples = new_n;
         self.n_samples = new_n;
         changed
     }
@@ -245,7 +344,10 @@ impl RandomForest {
     /// Apply samples `old_n..new_n` to tree `t`, one at a time; `None`
     /// when the tree's resample never draws any of them. The returned
     /// [`DirtyRegion`] is the union over appends, so it bounds where the
-    /// final tree may disagree with the pre-refit tree.
+    /// final tree may disagree with the pre-refit tree. `columns` stably
+    /// sorts rows `0..new_n`; `weights` caches the tree's multiplicities
+    /// and is extended to `new_n` rows here.
+    #[allow(clippy::too_many_arguments)]
     fn refit_tree(
         &self,
         config: &ForestConfig,
@@ -254,39 +356,44 @@ impl RandomForest {
         t: usize,
         old_n: usize,
         new_n: usize,
+        columns: &[Vec<u32>],
+        weights: &mut Vec<u8>,
     ) -> Option<(DecisionTree, DirtyRegion)> {
-        let seed = Self::tree_seed(config, t);
-        let mut multiset = if config.bootstrap {
-            Self::hashed_indices(config, t, old_n)
-        } else {
-            (0..old_n).collect()
-        };
+        let weight = |s: usize| Self::multiplicity(config, t, s);
         // A tree whose resample was empty was trained on ALL samples, so
         // it must track every append until a sample finally hashes in.
-        let mut fallback = multiset.is_empty();
+        let mut fallback = (0..old_n).all(|i| weight(i) == 0);
+        if !fallback && (old_n..new_n).all(|s| weight(s) == 0) {
+            return None;
+        }
+        let from = weights.len();
+        weights.extend((from..new_n).map(weight));
+        let seed = Self::tree_seed(config, t);
         let mut tree: Option<DecisionTree> = None;
         let mut dirty = DirtyRegion::none();
         for s in old_n..new_n {
-            let w = if config.bootstrap {
-                bootstrap_weight(config.seed, t, s)
-            } else {
-                1
-            };
+            let rows = &weights[..=s];
             if fallback {
-                if w > 0 {
-                    multiset.extend(std::iter::repeat_n(s, w));
-                    fallback = false;
-                    tree = Some(DecisionTree::fit_seeded(&config.tree, x, y, &multiset, seed));
+                fallback = weights[s] == 0;
+                let (indices, orders) = if fallback {
+                    expand(columns, &vec![1; s + 1])
                 } else {
-                    let all: Vec<usize> = (0..=s).collect();
-                    tree = Some(DecisionTree::fit_seeded(&config.tree, x, y, &all, seed));
-                }
+                    expand(columns, rows)
+                };
+                tree = Some(DecisionTree::fit_presorted(
+                    &config.tree,
+                    x,
+                    y,
+                    indices,
+                    orders,
+                    seed,
+                ));
                 dirty = DirtyRegion::whole();
-            } else if w > 0 {
-                multiset.extend(std::iter::repeat_n(s, w));
-                let mut work = multiset.clone();
+            } else if weights[s] > 0 {
+                let (indices, orders) = expand(columns, rows);
                 let base = tree.as_ref().unwrap_or(&self.trees[t]);
-                let (refit, region) = base.refit_appended(&config.tree, x, y, &mut work, seed, s);
+                let (refit, region) =
+                    base.refit_appended(&config.tree, x, y, indices, orders, seed, row_id(s));
                 tree = Some(refit);
                 dirty.merge(region);
             }
@@ -480,11 +587,12 @@ mod tests {
             &x_full.rows().take(prefix).map(<[f64]>::to_vec).collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..prefix]);
+        let mut ws = RefitWorkingSet::default();
         for upto in [41, 50, 64, 80] {
             let x = FeatureMatrix::from_rows(
                 &x_full.rows().take(upto).map(<[f64]>::to_vec).collect::<Vec<_>>(),
             );
-            let changed = forest.refit_incremental(&cfg, &x, &y_full[..upto]);
+            let changed = forest.refit_incremental(&cfg, &x, &y_full[..upto], &mut ws);
             let scratch = RandomForest::fit(&cfg, &x, &y_full[..upto]);
             assert_eq!(forest, scratch, "divergence at n={upto}");
             if upto == 41 {
@@ -510,7 +618,8 @@ mod tests {
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..49]);
         let before = forest.clone();
-        let changed = forest.refit_incremental(&cfg, &x_full, &y_full);
+        let changed =
+            forest.refit_incremental(&cfg, &x_full, &y_full, &mut RefitWorkingSet::default());
         // Reported set == trees whose hashed weight of sample 49 is > 0.
         let expected: Vec<usize> = (0..cfg.n_trees)
             .filter(|&t| bootstrap_weight(cfg.seed, t, 49) > 0)
@@ -539,7 +648,8 @@ mod tests {
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..55]);
         let before = forest.clone();
-        let changed = forest.refit_incremental(&cfg, &x_full, &y_full);
+        let changed =
+            forest.refit_incremental(&cfg, &x_full, &y_full, &mut RefitWorkingSet::default());
         assert!(!changed.is_empty());
         // Probe a dense grid (including off-training coordinates): where
         // a tree's dirty region says "clean", its prediction must be
@@ -579,7 +689,8 @@ mod tests {
             &x_full.rows().take(20).map(<[f64]>::to_vec).collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..20]);
-        let changed = forest.refit_incremental(&cfg, &x_full, &y_full);
+        let changed =
+            forest.refit_incremental(&cfg, &x_full, &y_full, &mut RefitWorkingSet::default());
         let reported: Vec<usize> = changed.iter().map(|u| u.tree).collect();
         assert_eq!(reported, (0..4).collect::<Vec<_>>(), "all trees see all samples");
         assert_eq!(forest, RandomForest::fit(&cfg, &x_full, &y_full));
@@ -597,7 +708,8 @@ mod tests {
             &x_full.rows().take(20).map(<[f64]>::to_vec).collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..20]);
-        let changed = forest.refit_incremental(&cfg, &x_full, &y_full);
+        let changed =
+            forest.refit_incremental(&cfg, &x_full, &y_full, &mut RefitWorkingSet::default());
         assert_eq!(changed.len(), 8, "resample scheme cannot refit in place");
         assert_eq!(forest, RandomForest::fit(&cfg, &x_full, &y_full));
     }
@@ -608,7 +720,8 @@ mod tests {
         let cfg = ForestConfig::default();
         let mut forest = RandomForest::fit(&cfg, &x, &y);
         let before = forest.clone();
-        assert!(forest.refit_incremental(&cfg, &x, &y).is_empty());
+        let mut ws = RefitWorkingSet::default();
+        assert!(forest.refit_incremental(&cfg, &x, &y, &mut ws).is_empty());
         assert_eq!(forest, before);
     }
 

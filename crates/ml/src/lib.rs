@@ -20,7 +20,12 @@ pub mod tree;
 
 pub use data::FeatureMatrix;
 pub use flat::{FlatForest, FLAT_BLOCK_ROWS};
-pub use forest::{bootstrap_weight, BootstrapScheme, ForestConfig, RandomForest, TreeUpdate};
+pub use forest::{
+    bootstrap_weight, BootstrapScheme, ForestConfig, RandomForest, RefitWorkingSet, TreeUpdate,
+};
 pub use jackknife::{forest_variance_at, jackknife_variance};
 pub use metrics::{average_slowdown, CONVERGENCE_SLOWDOWN};
 pub use tree::{DecisionTree, DirtyRegion, TreeConfig};
+
+#[cfg(test)]
+mod golden;

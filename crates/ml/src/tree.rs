@@ -9,10 +9,14 @@
 //! Builds are a pure function of `(multiset of training rows, tree
 //! seed)`: any randomness (per-split feature subsampling) is seeded from
 //! the node's position in the tree, never from a shared stream consumed
-//! in traversal order. That locality is what makes
-//! [`DecisionTree::refit_appended`] possible — rebuilding only the path
+//! in traversal order. That locality is what makes incremental refits
+//! (`DecisionTree::refit_appended`) possible — rebuilding only the path
 //! a newly appended sample takes while reusing every untouched subtree
 //! bit-for-bit.
+//!
+//! Every build is presorted: the root's rows are stably sorted once per
+//! feature (or handed in already sorted by the forest), and each split
+//! stably partitions those orders into its children, so no node sorts.
 
 use crate::data::FeatureMatrix;
 use rand::seq::SliceRandom;
@@ -92,22 +96,26 @@ impl DecisionTree {
         indices: &[usize],
         tree_seed: u64,
     ) -> Self {
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert!(!indices.is_empty(), "cannot fit on zero samples");
-        let mut builder = Builder {
-            config,
-            x,
-            y,
-            tree_seed,
-            nodes: Vec::new(),
-            feature_pool: (0..x.n_features()).collect(),
-            scratch: Vec::new(),
-            region_conds: Vec::new(),
-            dirty: Vec::new(),
-            presorted: Vec::new(),
-        };
-        let mut idx = indices.to_vec();
-        builder.build(&mut idx, 0, 0);
+        let indices: Vec<u32> = indices.iter().map(|&i| row_id(i)).collect();
+        let orders = sorted_orders(x, &indices);
+        Self::fit_presorted(config, x, y, indices, orders, tree_seed)
+    }
+
+    /// [`DecisionTree::fit_seeded`] on a multiset whose per-feature
+    /// stable sorts the caller already has: `orders[f]` must be
+    /// `indices` stably sorted by feature `f` (ties keep their order in
+    /// `indices`). Nothing is sorted here; every node stably partitions
+    /// its parent's orders.
+    pub(crate) fn fit_presorted(
+        config: &TreeConfig,
+        x: &FeatureMatrix,
+        y: &[f64],
+        indices: Vec<u32>,
+        orders: Vec<Vec<u32>>,
+        tree_seed: u64,
+    ) -> Self {
+        let mut builder = Builder::new(config, x, y, tree_seed, indices, orders);
+        builder.build(0, builder.indices.len(), 0, 0);
         DecisionTree {
             nodes: builder.nodes,
         }
@@ -123,41 +131,26 @@ impl DecisionTree {
     ///
     /// `indices` must be the *new* multiset: the multiset this tree was
     /// fitted on, with the copies of `new_sample` appended at the end
-    /// (matching the canonical ascending order scratch fits use).
+    /// (matching the canonical ascending order scratch fits use), and
+    /// `orders` its per-feature stable sorts, as for
+    /// [`DecisionTree::fit_presorted`].
     ///
     /// Also returns the [`DirtyRegion`] outside of which the new tree
     /// predicts bit-identically to `self`.
-    pub fn refit_appended(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn refit_appended(
         &self,
         config: &TreeConfig,
         x: &FeatureMatrix,
         y: &[f64],
-        indices: &mut [usize],
+        indices: Vec<u32>,
+        orders: Vec<Vec<u32>>,
         tree_seed: u64,
-        new_sample: usize,
+        new_sample: u32,
     ) -> (Self, DirtyRegion) {
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert!(!indices.is_empty(), "cannot fit on zero samples");
-        let presorted: Vec<Vec<usize>> = (0..x.n_features())
-            .map(|f| {
-                let mut o = indices.to_vec();
-                o.sort_by(|&a, &b| x.get(a, f).total_cmp(&x.get(b, f)));
-                o
-            })
-            .collect();
-        let mut builder = Builder {
-            config,
-            x,
-            y,
-            tree_seed,
-            nodes: Vec::new(),
-            feature_pool: (0..x.n_features()).collect(),
-            scratch: Vec::new(),
-            region_conds: Vec::new(),
-            dirty: Vec::new(),
-            presorted,
-        };
-        builder.rebuild_path(&self.nodes, 0, indices, 0, 0, new_sample);
+        let n = indices.len();
+        let mut builder = Builder::new(config, x, y, tree_seed, indices, orders);
+        builder.rebuild_path(&self.nodes, 0, 0, n, 0, 0, new_sample);
         (
             DecisionTree {
                 nodes: builder.nodes,
@@ -214,7 +207,7 @@ type Cond = (usize, f64, f64);
 ///
 /// A union of axis-aligned boxes (conjunctions of `(feature, lo, hi)`
 /// conditions), collected
-/// while [`DecisionTree::refit_appended`] walks the new sample's path:
+/// while an incremental refit walks the new sample's path:
 /// the box delimiting each rebuilt subtree, plus — when a reused split
 /// kept its partition but moved its threshold — the band between the old
 /// and new thresholds (rows in the band route differently even though
@@ -287,6 +280,32 @@ fn node_seed(tree_seed: u64, depth: usize, path: u64) -> u64 {
     h
 }
 
+/// A row index as the builder stores it.
+pub(crate) fn row_id(i: usize) -> u32 {
+    u32::try_from(i).expect("row index exceeds u32")
+}
+
+/// `indices` stably sorted by each feature in turn (`total_cmp`; ties
+/// keep their order in `indices`).
+pub(crate) fn sorted_orders(x: &FeatureMatrix, indices: &[u32]) -> Vec<Vec<u32>> {
+    (0..x.n_features())
+        .map(|f| {
+            let mut order = indices.to_vec();
+            order.sort_by(|&a, &b| x.get(a as usize, f).total_cmp(&x.get(b as usize, f)));
+            order
+        })
+        .collect()
+}
+
+/// Insert `row` into `order`, a stable sort by feature `f`, after every
+/// row with an equal value: where a fresh stable sort puts it when `row`
+/// is larger than every row already in `order`.
+pub(crate) fn insert_sorted(x: &FeatureMatrix, order: &mut Vec<u32>, f: usize, row: u32) {
+    let v = x.get(row as usize, f);
+    let pos = order.partition_point(|&r| x.get(r as usize, f).total_cmp(&v).is_le());
+    order.insert(pos, row);
+}
+
 struct Builder<'a> {
     config: &'a TreeConfig,
     x: &'a FeatureMatrix,
@@ -294,21 +313,24 @@ struct Builder<'a> {
     tree_seed: u64,
     nodes: Vec<Node>,
     feature_pool: Vec<usize>,
-    scratch: Vec<usize>,
+    /// The training multiset. Every node owns a range `lo..hi` of it,
+    /// holding its rows in canonical order: the root's input order,
+    /// stably partitioned down the tree.
+    indices: Vec<u32>,
+    /// Per feature, the node's rows stably sorted by that feature, in
+    /// the same range `lo..hi` as `indices`. Sorted once for the root
+    /// and stably partitioned alongside `indices` at every split. A
+    /// stable partition of a stable sort is the stable sort of the
+    /// stably partitioned child, so each node sees exactly the order a
+    /// fresh stable sort of its own rows would give — and the prefix
+    /// scan in `best_split` sums floats in the same order.
+    orders: Vec<Vec<u32>>,
+    scratch: Vec<u32>,
     /// Conjunction of split decisions taken so far on the refit path
     /// (maintained by `rebuild_path` only).
     region_conds: Vec<Cond>,
     /// Accumulated dirty boxes (see [`DirtyRegion`]).
     dirty: Vec<Vec<Cond>>,
-    /// Per-feature presorted index orders for the refit-path node
-    /// currently being split (`rebuild_path` only). Sorted once at the
-    /// root and filtered linearly on each descent, these let path nodes
-    /// skip `best_split`'s per-feature sort. Filtering a stable sort
-    /// preserves relative order among equal values, so the filtered
-    /// order is exactly the permutation a fresh stable sort of the
-    /// child's canonical index order would produce — bit-exactness of
-    /// the prefix-scan float sums is preserved.
-    presorted: Vec<Vec<usize>>,
 }
 
 struct BestSplit {
@@ -317,38 +339,71 @@ struct BestSplit {
     score: f64,
 }
 
-impl Builder<'_> {
-    /// Build the subtree over `indices`; returns its node index.
-    fn build(&mut self, indices: &mut [usize], depth: usize, path: u64) -> u32 {
-        let node_id = self.push_leaf(indices);
-        let Some(split) = self.try_split(indices, depth, path) else {
+impl<'a> Builder<'a> {
+    fn new(
+        config: &'a TreeConfig,
+        x: &'a FeatureMatrix,
+        y: &'a [f64],
+        tree_seed: u64,
+        indices: Vec<u32>,
+        orders: Vec<Vec<u32>>,
+    ) -> Self {
+        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
+        assert!(!indices.is_empty(), "cannot fit on zero samples");
+        debug_assert_eq!(
+            orders,
+            sorted_orders(x, &indices),
+            "root orders are not a stable sort"
+        );
+        Builder {
+            config,
+            x,
+            y,
+            tree_seed,
+            nodes: Vec::new(),
+            feature_pool: (0..x.n_features()).collect(),
+            indices,
+            orders,
+            scratch: Vec::new(),
+            region_conds: Vec::new(),
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Build the subtree over rows `lo..hi`; returns its node index.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize, path: u64) -> u32 {
+        let sum = self.sum_y(lo, hi);
+        let node_id = self.push_leaf(sum / (hi - lo) as f64);
+        let Some(split) = self.try_split(lo, hi, sum, depth, path) else {
             return node_id;
         };
-        let mid = partition(self.x, indices, &split, &mut self.scratch);
-        let (left_idx, right_idx) = indices.split_at_mut(mid);
-        let left = self.build(left_idx, depth + 1, path.wrapping_shl(1));
-        let right = self.build(right_idx, depth + 1, path.wrapping_shl(1) | 1);
+        let mid = self.partition(lo, hi, &split);
+        let left = self.build(lo, mid, depth + 1, path.wrapping_shl(1));
+        let right = self.build(mid, hi, depth + 1, path.wrapping_shl(1) | 1);
         self.finish_split(node_id, &split, left, right);
         node_id
     }
 
-    /// Rebuild the subtree over `indices` (the old subtree's multiset
-    /// plus appended copies of `new_sample`), reusing subtrees whose
-    /// multiset did not change. `old_i` is the corresponding node in the
-    /// pre-append tree. Produces bit-for-bit what `build` would, and
-    /// records in `self.dirty` the boxes where predictions may differ
-    /// from the old subtree's.
+    /// Rebuild the subtree over rows `lo..hi` (the old subtree's
+    /// multiset plus appended copies of `new_sample`), reusing subtrees
+    /// whose multiset did not change. `old_i` is the corresponding node
+    /// in the pre-append tree. Produces bit-for-bit what `build` would,
+    /// and records in `self.dirty` the boxes where predictions may
+    /// differ from the old subtree's.
+    #[allow(clippy::too_many_arguments)]
     fn rebuild_path(
         &mut self,
         old: &[Node],
         old_i: u32,
-        indices: &mut [usize],
+        lo: usize,
+        hi: usize,
         depth: usize,
         path: u64,
-        new_sample: usize,
+        new_sample: u32,
     ) -> u32 {
-        let node_id = self.push_leaf(indices);
-        let Some(split) = self.try_split(indices, depth, path) else {
+        let sum = self.sum_y(lo, hi);
+        let node_id = self.push_leaf(sum / (hi - lo) as f64);
+        let Some(split) = self.try_split(lo, hi, sum, depth, path) else {
             // Rebuilt leaf: its mean absorbed the appended copies.
             self.dirty.push(self.region_conds.clone());
             return node_id;
@@ -361,12 +416,11 @@ impl Builder<'_> {
         // the old rows for a disagreement.
         let reusable = old_node.feature == split.feature
             && (old_node.threshold == split.threshold
-                || indices.iter().all(|&i| {
-                    let v = self.x.get(i, split.feature);
+                || self.indices[lo..hi].iter().all(|&i| {
+                    let v = self.x.get(i as usize, split.feature);
                     i == new_sample || (v <= old_node.threshold) == (v <= split.threshold)
                 }));
-        let mid = partition(self.x, indices, &split, &mut self.scratch);
-        let (left_idx, right_idx) = indices.split_at_mut(mid);
+        let mid = self.partition(lo, hi, &split);
         let (left, right) = if reusable {
             // Every appended copy lands on one side, so the other side's
             // multiset — and therefore its entire subtree — is unchanged
@@ -383,14 +437,14 @@ impl Builder<'_> {
                 band.push((split.feature, lo, hi));
                 self.dirty.push(band);
             }
-            if self.x.get(new_sample, split.feature) <= split.threshold {
+            if self.x.get(new_sample as usize, split.feature) <= split.threshold {
                 self.region_conds
                     .push((split.feature, f64::NEG_INFINITY, split.threshold));
-                self.filter_presorted(split.feature, split.threshold, true);
                 let left = self.rebuild_path(
                     old,
                     old_node.left,
-                    left_idx,
+                    lo,
+                    mid,
                     depth + 1,
                     path.wrapping_shl(1),
                     new_sample,
@@ -402,11 +456,11 @@ impl Builder<'_> {
                 let left = copy_subtree(old, old_node.left, &mut self.nodes);
                 self.region_conds
                     .push((split.feature, split.threshold, f64::INFINITY));
-                self.filter_presorted(split.feature, split.threshold, false);
                 let right = self.rebuild_path(
                     old,
                     old_node.right,
-                    right_idx,
+                    mid,
+                    hi,
                     depth + 1,
                     path.wrapping_shl(1) | 1,
                     new_sample,
@@ -416,23 +470,27 @@ impl Builder<'_> {
             }
         } else {
             // The partition moved (or the old node was a leaf): rebuild
-            // this whole subtree from scratch — all of it is dirty. The
-            // presorted orders describe this node, not the subtree's
-            // descendants, so `build` must fall back to per-node sorts.
+            // this whole subtree from scratch — all of it is dirty.
             self.dirty.push(self.region_conds.clone());
-            self.presorted.clear();
-            let left = self.build(left_idx, depth + 1, path.wrapping_shl(1));
-            let right = self.build(right_idx, depth + 1, path.wrapping_shl(1) | 1);
+            let left = self.build(lo, mid, depth + 1, path.wrapping_shl(1));
+            let right = self.build(mid, hi, depth + 1, path.wrapping_shl(1) | 1);
             (left, right)
         };
         self.finish_split(node_id, &split, left, right);
         node_id
     }
 
-    /// Push a leaf predicting the mean of `indices`.
-    fn push_leaf(&mut self, indices: &[usize]) -> u32 {
+    /// Sum of the targets of rows `lo..hi`, in canonical order.
+    fn sum_y(&self, lo: usize, hi: usize) -> f64 {
+        self.indices[lo..hi]
+            .iter()
+            .map(|&i| self.y[i as usize])
+            .sum()
+    }
+
+    /// Push a leaf predicting `mean`.
+    fn push_leaf(&mut self, mean: f64) -> u32 {
         let node_id = self.nodes.len() as u32;
-        let mean = indices.iter().map(|&i| self.y[i]).sum::<f64>() / indices.len() as f64;
         self.nodes.push(Node {
             feature: LEAF,
             threshold: 0.0,
@@ -445,14 +503,22 @@ impl Builder<'_> {
 
     /// The split for this node, if stopping criteria allow one and one
     /// improves on the parent.
-    fn try_split(&mut self, indices: &[usize], depth: usize, path: u64) -> Option<BestSplit> {
+    fn try_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        sum: f64,
+        depth: usize,
+        path: u64,
+    ) -> Option<BestSplit> {
+        let n = hi - lo;
         if depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || indices.len() < 2 * self.config.min_samples_leaf
+            || n < self.config.min_samples_split
+            || n < 2 * self.config.min_samples_leaf
         {
             return None;
         }
-        self.best_split(indices, depth, path)
+        self.best_split(lo, hi, sum, depth, path)
     }
 
     /// Turn the placeholder leaf `node_id` into a split node.
@@ -464,23 +530,37 @@ impl Builder<'_> {
         node.right = right;
     }
 
-    /// Restrict the refit-path presorted orders to the child on the
-    /// `keep_left` side of a split. A linear filter of a stable sort
-    /// yields exactly the stable sort of the (stably partitioned) child.
-    fn filter_presorted(&mut self, feature: usize, threshold: f64, keep_left: bool) {
+    /// Stably partition rows `lo..hi` of `indices` and of every order so
+    /// rows with `x[feature] <= threshold` come first; returns the
+    /// boundary. The order sorted by the split feature is already
+    /// partitioned.
+    fn partition(&mut self, lo: usize, hi: usize, split: &BestSplit) -> usize {
         let x = self.x;
-        for ord in &mut self.presorted {
-            ord.retain(|&i| (x.get(i, feature) <= threshold) == keep_left);
+        let goes_left = |r: u32| x.get(r as usize, split.feature) <= split.threshold;
+        let mid = lo + stable_partition(&mut self.indices[lo..hi], &mut self.scratch, goes_left);
+        debug_assert!(mid > lo && mid < hi, "degenerate split survived");
+        for (f, order) in self.orders.iter_mut().enumerate() {
+            if f != split.feature {
+                stable_partition(&mut order[lo..hi], &mut self.scratch, goes_left);
+            }
+            debug_assert!(order[lo..mid].iter().all(|&r| goes_left(r)));
         }
+        mid
     }
 
     /// Exhaustive best split over the node's feature subset: minimize
-    /// left/right summed squared error via a sorted prefix scan. With
-    /// `max_features = None` every feature is scanned in natural order;
-    /// with subsampling, the subset comes from an RNG seeded by the
-    /// node's position (deterministic per node). On the refit path the
-    /// per-feature sort is skipped in favor of `self.presorted`.
-    fn best_split(&mut self, indices: &[usize], depth: usize, path: u64) -> Option<BestSplit> {
+    /// left/right summed squared error via a prefix scan over each
+    /// feature's presorted order. With `max_features = None` every
+    /// feature is scanned in natural order; with subsampling, the subset
+    /// comes from an RNG seeded by the node's position.
+    fn best_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        total_sum: f64,
+        depth: usize,
+        path: u64,
+    ) -> Option<BestSplit> {
         let n_features = self.x.n_features();
         let k = self
             .config
@@ -495,36 +575,31 @@ impl Builder<'_> {
             self.feature_pool[..k].to_vec()
         };
 
-        let total_sum: f64 = indices.iter().map(|&i| self.y[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| self.y[i] * self.y[i]).sum();
+        let y = self.y;
+        let x = self.x;
+        let indices = &self.indices[lo..hi];
+        let total_sq: f64 = indices.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let n = indices.len() as f64;
         let parent_score = total_sq - total_sum * total_sum / n;
 
         let mut best: Option<BestSplit> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(indices.len());
         for f in candidates {
-            order.clear();
-            if self.presorted.is_empty() {
-                order.extend_from_slice(indices);
-                order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
-            } else {
-                debug_assert_eq!(self.presorted[f].len(), indices.len());
-                order.extend_from_slice(&self.presorted[f]);
-            }
-
+            let order = &self.orders[f][lo..hi];
             let min_leaf = self.config.min_samples_leaf;
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
+            let mut next_v = x.get(order[0] as usize, f);
             for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
-                left_sum += self.y[i];
-                left_sq += self.y[i] * self.y[i];
+                let yi = y[i as usize];
+                left_sum += yi;
+                left_sq += yi * yi;
+                let this_v = next_v;
+                next_v = x.get(order[pos + 1] as usize, f);
                 let left_n = pos + 1;
                 let right_n = order.len() - left_n;
                 if left_n < min_leaf || right_n < min_leaf {
                     continue;
                 }
-                let this_v = self.x.get(i, f);
-                let next_v = self.x.get(order[pos + 1], f);
                 if this_v == next_v {
                     continue; // cannot split between equal values
                 }
@@ -545,31 +620,32 @@ impl Builder<'_> {
     }
 }
 
-/// Partition `indices` in place so rows with `x[feature] <= threshold`
-/// come first; returns the boundary. Stable on BOTH sides: each side
-/// keeps its rows in their original relative order. Stability is what
-/// keeps incremental refits bit-identical to scratch fits — an appended
-/// sample lands at the end of one side and leaves the other side's
-/// ordering (and hence its float summation order) untouched.
-fn partition(
-    x: &FeatureMatrix,
-    indices: &mut [usize],
-    split: &BestSplit,
-    scratch: &mut Vec<usize>,
+/// Partition `rows` in place so rows satisfying `goes_left` come first;
+/// returns how many do. Stable on BOTH sides: each side keeps its rows
+/// in their original relative order. Stability is what keeps incremental
+/// refits bit-identical to scratch fits — an appended sample lands at
+/// the end of one side and leaves the other side's ordering (and hence
+/// its float summation order) untouched — and what keeps the presorted
+/// orders sorted.
+fn stable_partition(
+    rows: &mut [u32],
+    scratch: &mut Vec<u32>,
+    goes_left: impl Fn(u32) -> bool,
 ) -> usize {
-    scratch.clear();
-    let mut mid = 0;
-    for i in 0..indices.len() {
-        let row = indices[i];
-        if x.get(row, split.feature) <= split.threshold {
-            indices[mid] = row;
-            mid += 1;
-        } else {
-            scratch.push(row);
-        }
+    // Branch-free: every row is written to both sides and only the
+    // cursor of its own side advances (the left cursor never passes
+    // the read position).
+    scratch.resize(rows.len(), 0);
+    let (mut mid, mut right) = (0, 0);
+    for i in 0..rows.len() {
+        let row = rows[i];
+        let left = goes_left(row);
+        rows[mid] = row;
+        scratch[right] = row;
+        mid += left as usize;
+        right += !left as usize;
     }
-    indices[mid..].copy_from_slice(scratch);
-    debug_assert!(mid > 0 && mid < indices.len(), "degenerate split survived");
+    rows[mid..].copy_from_slice(&scratch[..right]);
     mid
 }
 

@@ -125,8 +125,8 @@ pub mod prelude {
         BenchmarkDatabase, DatasetConfig, FeatureSpace, Point, Sample,
     };
     pub use acclaim_ml::{
-        average_slowdown, DirtyRegion, FlatForest, ForestConfig, RandomForest, TreeUpdate,
-        CONVERGENCE_SLOWDOWN,
+        average_slowdown, DirtyRegion, FlatForest, ForestConfig, RandomForest, RefitWorkingSet,
+        TreeUpdate, CONVERGENCE_SLOWDOWN,
     };
     pub use acclaim_netsim::{
         Allocation, Cluster, FaultModel, FlowSim, NetworkParams, NoiseModel, RoundSim, Topology,

@@ -89,10 +89,11 @@ proptest! {
         };
 
         let mut model = PerfModel::fit(Collective::Bcast, &samples[..n0], &config);
+        let mut ws = RefitWorkingSet::default();
         let mut cache = VarianceScanCache::new(candidates.clone()).with_flat(true);
         cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
         for n in n0 + 1..=n0 + appends {
-            let changed = model.fit_incremental(&samples[..n], &config);
+            let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
             cache.refresh(&model, &changed);
             let cached = cache.ranking();
             let cold = rank_by_variance(&model, &candidates);

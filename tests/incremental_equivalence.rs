@@ -49,14 +49,17 @@ fn trajectory(db: &BenchmarkDatabase, space: &FeatureSpace, seed: u64) -> Vec<Tr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// After every single-sample append, the incrementally refitted
-    /// model is bit-identical to a scratch fit: per-tree predictions,
-    /// jackknife variances, and the algorithm `select()` picks.
+    /// After every batch append (2–8 rows per refit, so one refit
+    /// inserts several rows into one tree's presorted orders), the
+    /// incrementally refitted model is bit-identical to a scratch fit:
+    /// per-tree predictions, jackknife variances, and the algorithm
+    /// `select()` picks.
     #[test]
     fn refit_incremental_is_bit_identical_to_scratch(
         seed in 0u64..1_000,
         n0 in 5usize..30,
         appends in 1usize..6,
+        batch in 2usize..9,
     ) {
         let (db, space) = env();
         let candidates = all_candidates(Collective::Bcast, &space);
@@ -67,10 +70,11 @@ proptest! {
         };
 
         let mut warm = PerfModel::fit(Collective::Bcast, &samples[..n0], &config);
+        let mut ws = RefitWorkingSet::default();
         let (mut inc, mut scr) = (Vec::new(), Vec::new());
         let mut scratch_buf = Vec::new();
-        for n in n0 + 1..=n0 + appends {
-            warm.fit_incremental(&samples[..n], &config);
+        for n in (1..=appends).map(|k| n0 + k * batch) {
+            warm.fit_incremental(&samples[..n], &config, &mut ws);
             let cold = PerfModel::fit(Collective::Bcast, &samples[..n], &config);
             for c in &candidates {
                 warm.per_tree_log_predictions(c.point, c.algorithm, &mut inc);
@@ -105,10 +109,11 @@ proptest! {
         };
 
         let mut model = PerfModel::fit(Collective::Bcast, &samples[..n0], &config);
+        let mut ws = RefitWorkingSet::default();
         let mut cache = VarianceScanCache::new(candidates.clone());
         cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
         for n in n0 + 1..=n0 + appends {
-            let changed = model.fit_incremental(&samples[..n], &config);
+            let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
             cache.refresh(&model, &changed);
             let cached = cache.ranking();
             let cold = rank_by_variance(&model, &candidates);
@@ -132,10 +137,11 @@ fn cached_cumulative_variance_never_drifts_over_many_updates() {
 
     let n0 = 10;
     let mut model = PerfModel::fit(Collective::Bcast, &samples[..n0], &config);
+    let mut ws = RefitWorkingSet::default();
     let mut cache = VarianceScanCache::new(candidates.clone());
     cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
     for n in n0 + 1..=samples.len() {
-        let changed = model.fit_incremental(&samples[..n], &config);
+        let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
         cache.refresh(&model, &changed);
     }
     let cached = cache.ranking();
@@ -186,10 +192,11 @@ fn cached_variance_stays_exact_with_every_5th_nonp2_injection() {
     };
     let n0 = 8;
     let mut model = PerfModel::fit(Collective::Bcast, &samples[..n0], &config);
+    let mut ws = RefitWorkingSet::default();
     let mut cache = VarianceScanCache::new(candidates.clone());
     cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
     for n in n0 + 1..=samples.len() {
-        let changed = model.fit_incremental(&samples[..n], &config);
+        let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
         cache.refresh(&model, &changed);
         let cached = cache.ranking();
         let cold = rank_by_variance(&model, &candidates);

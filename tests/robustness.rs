@@ -188,10 +188,11 @@ fn single_tree_forest_refits_incrementally_without_divergence() {
 
     let candidates = all_candidates(Collective::Bcast, &space);
     let mut model = PerfModel::fit(Collective::Bcast, &samples[..3], &config);
+    let mut ws = RefitWorkingSet::default();
     let mut cache = VarianceScanCache::new(candidates.clone());
     cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
     for n in 4..=samples.len() {
-        let changed = model.fit_incremental(&samples[..n], &config);
+        let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
         cache.refresh(&model, &changed);
         // A 1-tree forest has zero jackknife variance everywhere; the
         // ranking must still be well-formed and match a cold scan.
@@ -229,11 +230,12 @@ fn appends_no_tree_samples_leave_model_and_cache_exact() {
 
     let candidates = all_candidates(Collective::Bcast, &space);
     let mut model = PerfModel::fit(Collective::Bcast, &samples[..3], &config);
+    let mut ws = RefitWorkingSet::default();
     let mut cache = VarianceScanCache::new(candidates.clone());
     cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
     let mut empty_updates = 0;
     for n in 4..=samples.len() {
-        let changed = model.fit_incremental(&samples[..n], &config);
+        let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
         if changed.is_empty() {
             empty_updates += 1;
         }
@@ -269,12 +271,13 @@ fn candidate_space_of_size_one_survives_incremental_updates() {
     };
 
     let mut model = PerfModel::fit(Collective::Bcast, &samples[..1], &config);
+    let mut ws = RefitWorkingSet::default();
     let mut cache = VarianceScanCache::new(all);
     cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
     cache.retain(|c| *c == only);
     assert_eq!(cache.candidates().len(), 1);
     for n in 2..=samples.len() {
-        let changed = model.fit_incremental(&samples[..n], &config);
+        let changed = model.fit_incremental(&samples[..n], &config, &mut ws);
         cache.refresh(&model, &changed);
         let ranking = cache.ranking();
         assert_eq!(ranking.top(), Some(only));
